@@ -193,6 +193,7 @@ def _spectral(args):
 
 
 def _locate(args):
+    hilbert.check_root_degree(args.disc)
     g = ssgraph.build_graph(args.p, args.ell, modpoly_dir=args.modpoly_dir)
     cycles = hilbert.locate_rim_vertices(args.disc, args.p, args.ell, g)
     rendered = [[str(v) for v in cyc] for cyc in cycles]

@@ -14,7 +14,8 @@ from functools import lru_cache
 import mpmath as mp
 
 from . import quadform
-from .ff import PolyOverFp2, PrimeField, QuadExtElement, kronecker_symbol, poly_roots
+from .ff import (MAX_ROOT_DEGREE, PolyOverFp2, PrimeField, QuadExtElement,
+                 kronecker_symbol, poly_roots)
 
 MAX_ABS_DISC = 10**5
 MAX_PRECISION_BITS = 8192
@@ -148,6 +149,22 @@ def _canonical_cycle(seq):
     return best[1]
 
 
+def check_root_degree(D) -> quadform.Discriminant:
+    """Refuse a discriminant whose class polynomial is over the root-finding cap.
+
+    The class number comes from the reduced forms, so nothing is spent on
+    the class polynomial or a graph before the refusal.
+    """
+    disc = D if isinstance(D, quadform.Discriminant) else quadform.Discriminant(D)
+    h = quadform.class_number(disc)
+    if h > MAX_ROOT_DEGREE:
+        raise ValueError(
+            f"class number h({disc.value}) = {h} exceeds the root-finding "
+            f"degree cap {MAX_ROOT_DEGREE}"
+        )
+    return disc
+
+
 def locate_rim_vertices(D, p: int, ell: int, graph) -> list[tuple]:
     """Thread the mod-p class polynomial roots into cycles of the isogeny graph.
 
@@ -157,7 +174,7 @@ def locate_rim_vertices(D, p: int, ell: int, graph) -> list[tuple]:
     Output cycles are canonicalized up to rotation and reversal, preferring
     lexicographically least starting vertices.
     """
-    disc = D if isinstance(D, quadform.Discriminant) else quadform.Discriminant(D)
+    disc = check_root_degree(D)
     if graph.p != p or graph.ell != ell:
         raise ValueError("graph was built for different (p, ell)")
     if quadform.splitting_type(disc, ell) != quadform.SPLIT:

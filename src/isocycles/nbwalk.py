@@ -1,8 +1,44 @@
 """Graph-side cycle counting through the non-backtracking edge operator.
 
-Traces of operator powers count cyclically non-backtracking based closed
-walks; Mobius inversion extracts primitive directed cycle counts.  All
-counting is exact integer arithmetic; floating point appears only in the
+The operator B acts on directed edges: B[e, f] = 1 when f leaves the
+target of e and f is not the dual of e.  Every undirected edge of
+multiplicity m gives m dual pairs of directed edges; at a vertex with loop
+multiplicity c, the loop copies pair up two at a time and, when c is odd,
+the last copy is a half-loop: one self-dual directed edge.  A half-loop is
+a trace-zero endomorphism phi with phi-hat = -phi, so repeating it is
+backtracking.  Every vertex then has out-degree ell + 1 and B has
+dimension n(ell + 1).
+
+Traces of B^r come from the n x n adjacency A alone (Ihara-Bass; Bass 1992,
+Kotani-Sunada 2000).  Let P x = x o source and Q x = x o target lift
+vertex functions to edge functions, and J be the dual involution.  Then
+B = Q P^T - J, B P x = ell Q x and B Q y = Q A y - P y, so B preserves
+W = P C^n + Q C^n and acts on it through M = [[0, -I], [ell I, A]] on
+pairs (x, y), whose powers have trace tr S_r with
+
+    S_0 = 2I,  S_1 = A,  S_r = A S_{r-1} - ell S_{r-2}.
+
+On W-perp (sums over out-edges and in-edges vanish at every vertex)
+B = -J.  On a connected non-bipartite component the pair (1, -1) spans the
+kernel of (x, y) -> P x + Q y; it is a 1-eigenvector of M and a
+(-1)-eigenvector of the swap that lifts J, so tr(B^r | W) = tr S_r - 1,
+dim W-perp = n(ell - 1) + 1 and tr(J | W-perp) = h - 1, with h the number
+of half-loops (the fixed points of J).  A bipartite component has no
+half-loop and a second kernel vector that cancels the same way.  Hence
+
+    tr B^r = tr S_r + n(ell - 1) [r even] - h [r odd].
+
+The S_r are scaled Chebyshev polynomials in A, so
+S_a S_b = S_{a+b} + ell^min(a, b) S_|a-b| and, A being symmetric,
+
+    tr S_2k = |S_k|^2 - 2n ell^k,    tr S_2k+1 = <S_k, S_k+1> - ell^k tr A,
+
+so traces up to r_max need the recursion only up to k = ceil(r_max / 2).
+A is applied as an n x (ell + 1) neighbour-index array to blocks of
+columns, in O(n * block) memory.  Entries stay exact: int64 while the
+column-sum bound b_k = (ell + 1) b_{k-1} + ell b_{k-2} keeps n b_k^2 below
+2^63, Python integers past it.  Mobius inversion of the traces gives the
+primitive directed cycle counts.  Floating point appears only in the
 spectral estimate and the random-walk bound.
 """
 
@@ -18,122 +54,151 @@ from sympy import divisors, mobius
 
 from .ssgraph import IsogenyGraph
 
-_FLOAT_EXACT_LIMIT = 2**53
+_INT64_MAX = 2**63 - 1
+_BLOCK = 128  # columns of S_k held at once
 
 
-def _multiplicity_matrix(graph_or_matrix):
+def _adjacency_rows(graph_or_matrix):
+    """Validated adjacency rows {neighbour: multiplicity} and ell."""
     if isinstance(graph_or_matrix, IsogenyGraph):
         if not graph_or_matrix.regular_flag:
             raise ValueError(
                 "graph has p != 1 mod 12; the operator requires honest "
                 "(ell+1)-regular undirected semantics"
             )
-        return graph_or_matrix.multiplicity_matrix(), graph_or_matrix.ell
-    mat = [list(map(int, row)) for row in graph_or_matrix]
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("adjacency matrix must be square")
-    if any(m < 0 for row in mat for m in row):
-        raise ValueError("multiplicities must be nonnegative")
-    for u in range(n):
-        for v in range(u + 1, n):
-            if mat[u][v] != mat[v][u]:
+        rows = graph_or_matrix.adjacency
+    else:
+        mat = [list(map(int, row)) for row in graph_or_matrix]
+        if any(len(row) != len(mat) for row in mat):
+            raise ValueError("adjacency matrix must be square")
+        if any(m < 0 for row in mat for m in row):
+            raise ValueError("multiplicities must be nonnegative")
+        rows = [{j: m for j, m in enumerate(row) if m} for row in mat]
+    for u, row in enumerate(rows):
+        for v, m in row.items():
+            back = rows[v].get(u, 0)
+            if back != m:
                 raise ValueError(
-                    f"directed imbalance between vertices {u} and {v}: "
-                    f"{mat[u][v]} vs {mat[v][u]}"
+                    f"directed imbalance between vertices {u} and {v}: {m} vs {back}"
                 )
-    degrees = {sum(row) for row in mat}
+    degrees = {sum(row.values()) for row in rows}
     if len(degrees) != 1:
         raise ValueError(f"graph is not regular: out-degrees {sorted(degrees)}")
-    return mat, degrees.pop() - 1
+    return rows, degrees.pop() - 1
 
 
 class NonBacktrackingOperator:
-    """0/1 operator on directed edges: continue without traversing the dual."""
+    """Sparse operator on directed edges: continue without traversing the dual.
 
-    __slots__ = ("directed_edges", "dual", "matrix", "ell", "n_vertices")
+    `successors[e]` lists the directed edges B lets e continue into;
+    `adjacency` and `ell` are the graph data the trace recursion reads.
+    """
 
-    def __init__(self, directed_edges, dual, matrix, ell, n_vertices):
+    __slots__ = ("directed_edges", "dual", "successors", "adjacency", "ell")
+
+    def __init__(self, directed_edges, dual, successors, adjacency, ell):
         self.directed_edges = directed_edges
         self.dual = dual
-        self.matrix = matrix
+        self.successors = successors
+        self.adjacency = adjacency
         self.ell = ell
-        self.n_vertices = n_vertices
 
     @property
     def dimension(self) -> int:
         return len(self.directed_edges)
-
-    def successors(self, e: int) -> list[int]:
-        return [f for f in range(self.dimension) if self.matrix[e, f]]
 
 
 def build_nb_operator(graph_or_matrix) -> NonBacktrackingOperator:
     """Expand multiplicities into directed edges with a fixed dual pairing.
 
     Copies of a multiplicity-m undirected edge are dual-paired by copy
-    index.  Loop copies pair up two at a time; an unpaired loop copy
-    expands to two mutually dual directed half-edges.
+    index.  Loop copies pair up two at a time; an unpaired loop copy is a
+    half-loop, one directed edge that is its own dual.
     """
-    mat, ell = _multiplicity_matrix(graph_or_matrix)
-    n = len(mat)
+    rows, ell = _adjacency_rows(graph_or_matrix)
     edges = []
     dual = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            for k in range(mat[u][v]):
+    for u, row in enumerate(rows):
+        for v in sorted(row):
+            if v <= u:
+                continue
+            for k in range(row[v]):
                 e = len(edges)
                 edges.append((u, v, k))
                 edges.append((v, u, k))
                 dual.extend([e + 1, e])
-        c = mat[u][u]
+        c = row.get(u, 0)
         for i in range(c // 2):
             e = len(edges)
             edges.append((u, u, 2 * i))
             edges.append((u, u, 2 * i + 1))
             dual.extend([e + 1, e])
         if c % 2:
-            e = len(edges)
+            dual.append(len(edges))
             edges.append((u, u, c - 1))
-            edges.append((u, u, c - 1))
-            dual.extend([e + 1, e])
 
-    dim = len(edges)
-    out_by_source = [[] for _ in range(n)]
+    out_by_source = [[] for _ in rows]
     for idx, (s, _, _) in enumerate(edges):
         out_by_source[s].append(idx)
-    b = np.zeros((dim, dim), dtype=np.int64)
-    for e in range(dim):
-        _, tgt, _ = edges[e]
-        d = dual[e]
-        for f in out_by_source[tgt]:
-            if f != d:
-                b[e, f] = 1
-    return NonBacktrackingOperator(tuple(edges), tuple(dual), b, ell, n)
+    successors = tuple(
+        tuple(f for f in out_by_source[t] if f != d)
+        for (_, t, _), d in zip(edges, dual)
+    )
+    return NonBacktrackingOperator(tuple(edges), tuple(dual), successors, rows, ell)
+
+
+def _column_sum_bounds(ell: int, k_max: int) -> list[int]:
+    """b_k >= the largest absolute column sum of S_k, for k = 0..k_max."""
+    b = [2, ell + 1]
+    while len(b) <= k_max:
+        b.append((ell + 1) * b[-1] + ell * b[-2])
+    return b
 
 
 def closed_nbw_counts(op: NonBacktrackingOperator, r_max: int) -> list[int]:
-    """Traces of operator powers 1..r_max, exact."""
+    """Traces of operator powers 1..r_max, exact, by the Ihara-Bass recursion."""
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
-    b = op.matrix
-    dim = b.shape[0]
-    max_row = int(b.sum(axis=1).max()) if dim else 0
-    float_safe = dim * (max(max_row, 1) ** r_max) < _FLOAT_EXACT_LIMIT
-    if float_safe:
-        b_work = b.astype(np.float64)
-        power = b_work.copy()
-        traces = [int(round(np.trace(power)))]
-        for _ in range(r_max - 1):
-            power = power @ b_work
-            traces.append(int(round(np.trace(power))))
-    else:
-        b_work = np.array(b, dtype=object)
-        power = b_work.copy()
-        traces = [int(np.trace(power))]
-        for _ in range(r_max - 1):
-            power = power @ b_work
-            traces.append(int(np.trace(power)))
+    rows, ell = op.adjacency, op.ell
+    n = len(rows)
+    nbr = np.array([[v for v in sorted(row) for _ in range(row[v])] for row in rows],
+                   dtype=np.intp).reshape(n, ell + 1)
+    loops = sum(row.get(u, 0) for u, row in enumerate(rows))
+    half_loops = sum(row.get(u, 0) % 2 for u, row in enumerate(rows))
+    k_max = (r_max + 1) // 2
+    bounds = _column_sum_bounds(ell, k_max)
+
+    def times_a(s):
+        out = s[nbr[:, 0]]
+        for k in range(1, ell + 1):
+            out += s[nbr[:, k]]
+        return out
+
+    # squares[k] = |S_k|^2 and cross[k] = <S_k, S_k+1>, summed over blocks
+    squares = [0] * (k_max + 1)
+    cross = [0] * k_max
+    for lo in range(0, n, _BLOCK):
+        width = min(_BLOCK, n - lo)
+        cur = np.zeros((n, width), dtype=np.int64)
+        cur[lo + np.arange(width), np.arange(width)] = 1
+        prev, cur = 2 * cur, times_a(cur)
+        cross[0] += int(np.vdot(prev, cur))
+        for k in range(1, k_max):
+            if cur.dtype != object and n * bounds[k + 1] ** 2 > _INT64_MAX:
+                prev, cur = prev.astype(object), cur.astype(object)
+            squares[k] += int(np.vdot(cur, cur))
+            prev *= ell
+            prev, cur = cur, times_a(cur) - prev
+            cross[k] += int(np.vdot(prev, cur))
+        squares[k_max] += int(np.vdot(cur, cur))
+
+    traces = []
+    for r in range(1, r_max + 1):
+        k = r // 2
+        if r % 2:
+            traces.append(cross[k] - ell**k * loops - half_loops)
+        else:
+            traces.append(squares[k] - 2 * n * ell**k + n * (ell - 1))
     return traces
 
 
@@ -291,7 +356,7 @@ def dfs_primitive_cycle_counts(op: NonBacktrackingOperator, r_max: int) -> dict[
     A rotation class is counted once, at its lexicographically least
     rotation.  Intended for small graphs and modest r_max.
     """
-    succ = [op.successors(e) for e in range(op.dimension)]
+    succ = op.successors
     succ_sets = [frozenset(s) for s in succ]
     counts = {r: 0 for r in range(3, r_max + 1)}
 

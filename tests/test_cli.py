@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from isocycles import hilbert, ssgraph
 from isocycles.cli import main
 
 
@@ -136,6 +137,18 @@ class TestLocateCommand:
         code, _, err = run(capsys, "locate", "--disc", "-23", "--p", "179",
                            "--ell", "2")
         assert code == 2
+
+    def test_over_degree_cap_refused_before_any_work(self, capsys, monkeypatch):
+        # h(-7831) = 66 is over the root-finding cap of 64
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called before the class-number refusal")
+
+        monkeypatch.setattr(ssgraph, "build_graph", forbidden)
+        monkeypatch.setattr(hilbert, "_class_poly_cached", forbidden)
+        code, _, err = run(capsys, "locate", "--disc", "-7831", "--p", "3361",
+                           "--ell", "2")
+        assert code == 2
+        assert "h(-7831) = 66 exceeds the root-finding degree cap 64" in err
 
 
 class TestStrictFlag:

@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import mpmath as mp
 import pytest
 
+from isocycles import hilbert
 from isocycles.ff import PrimeField
 from isocycles.hilbert import (
     hilbert_class_poly,
@@ -155,3 +158,13 @@ class TestLocate:
             locate_rim_vertices(-3, 179, 2, g179)
         with pytest.raises(ValueError, match="does not split"):
             locate_rim_vertices(-20, 179, 2, g179)
+
+    def test_over_degree_cap_refused_before_class_poly(self, monkeypatch):
+        # h(-7831) = 66 is over the root-finding cap of 64
+        def forbidden(D):
+            raise AssertionError("class polynomial built before the refusal")
+
+        monkeypatch.setattr(hilbert, "_class_poly_cached", forbidden)
+        graph = SimpleNamespace(p=3361, ell=2)
+        with pytest.raises(ValueError, match="degree cap 64"):
+            locate_rim_vertices(-7831, 3361, 2, graph)

@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-import isocycles.nbwalk as nbwalk
 from isocycles.nbwalk import (
     barbell_upper_bound,
     build_nb_operator,
@@ -32,7 +31,7 @@ class TestOperator:
     def test_triangle(self):
         op = build_nb_operator(cycle_matrix(3))
         assert op.dimension == 6
-        assert set(op.matrix.sum(axis=1).tolist()) == {1}
+        assert {len(succ) for succ in op.successors} == {1}
 
     def test_dual_involution(self, g1009):
         for thing in (cycle_matrix(5), g1009):
@@ -66,10 +65,13 @@ class TestOperator:
             build_nb_operator(g179)
 
     def test_loop_halfedge_expansion(self):
-        # single vertex, odd loop multiplicity: 3 loops -> 4 directed edges
+        # single vertex, odd loop multiplicity: 3 loops -> one dual pair and
+        # one self-dual half-loop, so every edge has ell = 2 successors
         op = build_nb_operator(build_graph(13, 2))
-        assert op.dimension == 4
-        assert all(op.dual[op.dual[e]] == e for e in range(4))
+        assert op.dimension == 3
+        assert sum(op.dual[e] == e for e in range(3)) == 1
+        assert all(op.dual[op.dual[e]] == e for e in range(3))
+        assert [len(succ) for succ in op.successors] == [2, 2, 2]
 
 
 class TestTraces:
@@ -88,12 +90,21 @@ class TestTraces:
         with pytest.raises(ValueError):
             closed_nbw_counts(op, 0)
 
-    def test_object_path_agrees_with_float_path(self, monkeypatch, g1009):
-        op = build_nb_operator(g1009)
-        fast = closed_nbw_counts(op, 8)
-        monkeypatch.setattr(nbwalk, "_FLOAT_EXACT_LIMIT", 1)
-        slow = closed_nbw_counts(op, 8)
-        assert fast == slow
+    @pytest.mark.parametrize("ell", [2, 3])
+    def test_exact_across_int64_bound(self, ell):
+        # r = 40 takes the recursion past its int64 bound for both ell; at
+        # ell = 3 the traces themselves exceed 2^63.  p = 37 has a half-loop
+        # for ell = 2.  B is built here from the successor lists alone.
+        op = build_nb_operator(build_graph(37, ell))
+        b = np.zeros((op.dimension, op.dimension), dtype=object)
+        for e, succ in enumerate(op.successors):
+            b[e, list(succ)] = 1
+        exact, power = [], b
+        for _ in range(40):
+            exact.append(int(np.trace(power)))
+            power = power.dot(b)
+        assert closed_nbw_counts(op, 40) == exact
+        assert (max(exact) > 2**63) == (ell == 3)
 
 
 class TestDirectedCounts:
