@@ -187,16 +187,6 @@ class QuadExtElement:
         return f"({self.a}, {self.b})"
 
 
-def fp2_mul(x: QuadExtElement, y: QuadExtElement) -> QuadExtElement:
-    """Product in F_{p^2}; x and y must share the same field."""
-    return x * y
-
-
-def fp2_inv(x: QuadExtElement) -> QuadExtElement:
-    """Multiplicative inverse in F_{p^2}; x must be nonzero."""
-    return x.inverse()
-
-
 # Internal polynomial layer: coefficient lists of (a, b) int pairs, low
 # degree first, trailing zeros trimmed.  Kept free of object wrappers
 # because graph construction calls into this for every vertex.

@@ -108,6 +108,11 @@ def _class_poly_cached(D: int) -> ClassPolynomial:
     disc = quadform.Discriminant(D)
     forms = quadform.reduced_forms(disc)
     precision = _precision_for(forms)
+    if precision > MAX_PRECISION_BITS:
+        raise ValueError(
+            f"hilbert_class_poly(D={D}): needs {precision} bits, "
+            f"over the cap {MAX_PRECISION_BITS}"
+        )
     for _ in range(_MAX_RETRIES + 1):
         coeffs, residual = _expand_at(forms, D, precision)
         if residual < 0.25:

@@ -8,7 +8,6 @@ prime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -24,9 +23,9 @@ INERT = "inert"
 
 
 class Discriminant:
-    """Negative discriminant with cached fundamental part and conductor."""
+    """Negative discriminant with cached factorisation, fundamental part and conductor."""
 
-    __slots__ = ("value", "fundamental", "conductor")
+    __slots__ = ("value", "factors", "fundamental", "conductor")
 
     def __init__(self, value: int):
         if value >= 0:
@@ -34,8 +33,9 @@ class Discriminant:
         if value % 4 not in (0, 1):
             raise ValueError(f"discriminant must be 0 or 1 mod 4, got {value}")
         self.value = value
+        self.factors = factorint(-value)
         squarefree = 1
-        for q, e in factorint(-value).items():
+        for q, e in self.factors.items():
             if e % 2 == 1:
                 squarefree *= q
         d0 = -squarefree
@@ -168,47 +168,38 @@ def compose(f1: BinaryQuadraticForm, f2: BinaryQuadraticForm) -> BinaryQuadratic
     return reduce(BinaryQuadraticForm(a3, b3, c3))
 
 
-def form_pow(form: BinaryQuadraticForm, e: int) -> BinaryQuadraticForm:
-    result = principal_form(form.discriminant())
-    base = reduce(form)
-    if e < 0:
-        base = base.inverse()
-        e = -e
-    while e:
-        if e & 1:
-            result = compose(result, base)
-        e >>= 1
-        if e:
-            base = compose(base, base)
-    return result
-
-
 def _check_cap(D: Discriminant):
     if -D.value > MAX_ABS_DISC:
         raise ValueError(f"|discriminant| {-D.value} exceeds cap {MAX_ABS_DISC}")
 
 
+def _reduced_triples(D: int):
+    """The primitive reduced forms (a, b, c) of discriminant D with b >= 0.
+
+    Cohen, Alg. 5.3.5: a reduced form has b = D (mod 2), 3b^2 <= |D| and
+    a*c = (b^2 - D)/4 with b <= a <= c, so a runs over the divisors of that
+    quotient up to its square root.  (a, -b, c) is reduced as well exactly
+    when 0 < b < a < c.
+    """
+    b = D & 1
+    while 3 * b * b <= -D:
+        q = (b * b - D) // 4
+        for a in [a for a in range(max(b, 1), isqrt(q) + 1) if not q % a]:
+            c = q // a
+            if gcd(a, b, c) == 1:
+                yield a, b, c
+        b += 2
+
+
 @lru_cache(maxsize=None)
 def _reduced_forms(D: int) -> tuple:
     out = []
-    a = 1
-    while 3 * a * a <= -D:
-        for b in range(-a + 1, a + 1):
-            if (b - D) % 2:
-                continue
-            t = b * b - D
-            if t % (4 * a):
-                continue
-            c = t // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and a == c:
-                continue
-            if gcd(gcd(a, b), c) != 1:
-                continue
-            out.append(BinaryQuadraticForm(a, b, c))
-        a += 1
-    return tuple(out)
+    for a, b, c in _reduced_triples(D):
+        out.append((a, b, c))
+        if 0 < b < a < c:
+            out.append((a, -b, c))
+    out.sort()
+    return tuple(BinaryQuadraticForm(a, b, c) for a, b, c in out)
 
 
 def reduced_forms(D) -> list[BinaryQuadraticForm]:
@@ -218,9 +209,16 @@ def reduced_forms(D) -> list[BinaryQuadraticForm]:
     return list(_reduced_forms(D.value))
 
 
+@lru_cache(maxsize=None)
+def _class_number(D: int) -> int:
+    return sum(2 if 0 < b < a < c else 1 for a, b, c in _reduced_triples(D))
+
+
 def class_number(D) -> int:
     """Class number h: the count of primitive reduced forms."""
-    return len(reduced_forms(D))
+    D = _as_disc(D)
+    _check_cap(D)
+    return _class_number(D.value)
 
 
 @lru_cache(maxsize=None)
@@ -229,13 +227,21 @@ def _square_classes(D: int) -> frozenset:
 
 
 def genus_number(D) -> int:
-    """Number of genera g = h / #Cl^2; always a power of 2 dividing h."""
+    """Number of genera g = 2^(mu - 1) from the assigned characters.
+
+    mu counts the odd primes dividing D, plus 1 or 2 for the characters
+    at 2 when D = -4n (Cox, Prop. 3.11 and Thm 3.15): none when n = 3
+    (mod 4), two when 8 | n, one otherwise.
+    """
     D = _as_disc(D)
     _check_cap(D)
-    h = class_number(D)
-    g, rem = divmod(h, len(_square_classes(D.value)))
-    if rem or g & (g - 1):
-        raise AssertionError(f"genus count {h}/{len(_square_classes(D.value))} broken")
+    mu = sum(1 for q in D.factors if q != 2)
+    if D.value % 4 == 0:
+        n = -D.value // 4
+        mu += 0 if n % 4 == 3 else 2 if n % 8 == 0 else 1
+    g = 1 << (mu - 1)
+    if _class_number(D.value) % g:
+        raise AssertionError(f"genus number {g} does not divide h({D.value})")
     return g
 
 
@@ -284,18 +290,3 @@ def splitting_type(D, q: int) -> str:
         raise ValueError(f"{q} divides the conductor of {D.value}")
     k = kronecker_symbol(D.fundamental, q)
     return SPLIT if k == 1 else RAMIFIED if k == 0 else INERT
-
-
-@dataclass(frozen=True)
-class ClassGroupSummary:
-    discriminant: Discriminant
-    h: int
-    g: int
-    square_subgroup_size: int
-
-
-def classgroup_summary(D) -> ClassGroupSummary:
-    D = _as_disc(D)
-    h = class_number(D)
-    g = genus_number(D)
-    return ClassGroupSummary(D, h, g, h // g)

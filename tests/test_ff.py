@@ -8,8 +8,6 @@ from isocycles.ff import (
     PolyOverFp2,
     PrimeField,
     QuadExtElement,
-    fp2_inv,
-    fp2_mul,
     kronecker_symbol,
     poly_roots,
 )
@@ -86,7 +84,7 @@ class TestQuadExt:
     def test_multiplicative_identity(self):
         F = PrimeField(7)
         x = F.elem(3, 4)
-        assert fp2_mul(F.one, x) == x
+        assert F.one * x == x
 
     def test_s_squared_is_nonresidue(self):
         F = PrimeField(7)
@@ -99,19 +97,19 @@ class TestQuadExt:
 
     def test_inverse_examples(self):
         F = PrimeField(7)
-        assert fp2_inv(F.one) == F.one
+        assert F.one.inverse() == F.one
         s = F.sqrt_of_nonresidue()
         n_inv = pow(F.non_residue, 7 - 2, 7)
-        assert fp2_inv(s) == F.elem(0, n_inv)
-        assert fp2_inv(F.elem(2)) == F.elem(4)
+        assert s.inverse() == F.elem(0, n_inv)
+        assert F.elem(2).inverse() == F.elem(4)
 
     def test_zero_inverse_rejected(self):
         with pytest.raises(ValueError):
-            fp2_inv(PrimeField(7).zero)
+            PrimeField(7).zero.inverse()
 
     def test_mismatched_fields_rejected(self):
         with pytest.raises(ValueError):
-            fp2_mul(PrimeField(7).one, PrimeField(11).one)
+            PrimeField(7).one * PrimeField(11).one
 
     @given(st.sampled_from(SMALL_PRIMES), st.data())
     def test_inverse_law(self, p, data):
@@ -121,7 +119,7 @@ class TestQuadExt:
         x = F.elem(a, b)
         if x.is_zero():
             return
-        assert fp2_mul(x, fp2_inv(x)) == F.one
+        assert x * x.inverse() == F.one
 
     @given(st.sampled_from(SMALL_PRIMES), st.data())
     def test_ring_laws(self, p, data):

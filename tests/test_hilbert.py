@@ -84,6 +84,17 @@ class TestClassPoly:
         with pytest.raises(ValueError):
             hilbert_class_poly(-(10**5 + 3))
 
+    def test_over_precision_cap_refused_before_any_j_evaluation(self, monkeypatch):
+        # |D| = 99991 is within the discriminant cap, but its 205 reduced
+        # forms need 10115 bits, over the 8192-bit precision cap
+        def forbidden(tau, precision=128):
+            raise AssertionError("j evaluated before the refusal")
+
+        monkeypatch.setattr(hilbert, "j_evaluate", forbidden)
+        with pytest.raises(ValueError, match=r"hilbert_class_poly\(D=-99991\): "
+                           r"needs 10115 bits, over the cap 8192"):
+            hilbert_class_poly(-99991)
+
     def test_export_text(self):
         assert hilbert_class_poly(-4).to_text() == "-4: -1728 1"
 

@@ -1,9 +1,12 @@
-from math import gcd
+from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import primefactors
 
+from isocycles.ff import kronecker_symbol
 from isocycles.quadform import (
     INERT,
     RAMIFIED,
@@ -11,10 +14,8 @@ from isocycles.quadform import (
     BinaryQuadraticForm,
     Discriminant,
     class_number,
-    classgroup_summary,
     compose,
     form_order,
-    form_pow,
     genus_number,
     is_square_class,
     prime_form,
@@ -118,12 +119,16 @@ class TestCompose:
         assert compose(f, principal_form(disc)) == f
         assert compose(f, f.inverse()) == principal_form(disc)
 
-    def test_pow_matches_iteration(self):
+    def test_repeated_composition_cycles_with_the_order(self):
+        # the class above 11 has order 4 in Cl(-964), so its k-fold
+        # composition is principal exactly when 4 | k
         f = prime_form(-964, 11)
-        acc = principal_form(-964)
-        for k in range(14):
-            assert form_pow(f, k) == acc
+        one = principal_form(-964)
+        acc = one
+        for k in range(1, 14):
             acc = compose(acc, f)
+            assert (acc == one) == (k % 4 == 0), k
+        assert compose(compose(f, f), compose(f, f)) == one
 
 
 def brute_box_class_count(disc):
@@ -179,9 +184,9 @@ class TestGenus:
         assert h % g == 0
         assert g & (g - 1) == 0
 
-    def test_summary(self):
-        s = classgroup_summary(-964)
-        assert (s.h, s.g, s.square_subgroup_size) == (12, 2, 6)
+    def test_square_subgroup_size(self):
+        squares = {compose(f, f) for f in reduced_forms(-964)}
+        assert (class_number(-964), genus_number(-964), len(squares)) == (12, 2, 6)
 
 
 class TestPrimeForm:
@@ -240,3 +245,83 @@ class TestSplitting:
         sigma = prime_form(-964, 11)
         assert not is_square_class(-964, sigma)
         assert is_square_class(-964, compose(sigma, sigma))
+
+
+# Discriminants D with 3 <= |D| <= 4000, all D = 0, 1 (mod 4).
+SCAN_RANGE = [D for D in range(-3, -4001, -1) if D % 4 in (0, 1)]
+
+
+def scan_reduced_forms(disc):
+    """Reference: every (a, b) with |b| <= a <= sqrt(|disc|/3), in (a, b) order."""
+    out = []
+    a = 1
+    while 3 * a * a <= -disc:
+        for b in range(-a + 1, a + 1):
+            t = b * b - disc
+            if t % (4 * a):
+                continue
+            c = t // (4 * a)
+            if c < a or (b < 0 and a == c) or gcd(a, b, c) != 1:
+                continue
+            out.append((a, b, c))
+        a += 1
+    return out
+
+
+def unit_index(disc):
+    """|O^x| / 2 for the order of discriminant disc."""
+    return {-3: 3, -4: 2}.get(disc, 1)
+
+
+def hurwitz_class_number(n):
+    """H(n): h(-n/f^2) weighted by 2/|O^x|, summed over f^2 | n; H(0) = -1/12."""
+    if n == 0:
+        return Fraction(-1, 12)
+    total = Fraction(0)
+    for f in range(1, isqrt(n) + 1):
+        if n % (f * f) == 0 and (-n // (f * f)) % 4 in (0, 1):
+            disc = -n // (f * f)
+            total += Fraction(class_number(disc), unit_index(disc))
+    return total
+
+
+def is_fundamental(disc):
+    def squarefree(m):
+        return all(m % (q * q) for q in range(2, isqrt(m) + 1))
+
+    if disc % 4 == 1:
+        return squarefree(-disc)
+    return disc % 4 == 0 and (-disc // 4) % 4 in (1, 2) and squarefree(-disc // 4)
+
+
+class TestAgainstClassicalResults:
+    def test_reduced_forms_match_the_full_scan(self):
+        for disc in SCAN_RANGE:
+            got = [tuple(f) for f in reduced_forms(disc)]
+            assert got == scan_reduced_forms(disc), disc
+
+    def test_genus_number_is_h_over_squares(self):
+        for disc in SCAN_RANGE:
+            forms = reduced_forms(disc)
+            squares = {compose(f, f) for f in forms}
+            assert genus_number(disc) * len(squares) == len(forms), disc
+
+    def test_kronecker_hurwitz_relation(self):
+        for m in range(1, 301):
+            t_max = isqrt(4 * m)
+            lhs = sum(hurwitz_class_number(4 * m - t * t) for t in range(-t_max, t_max + 1))
+            divs = [d for d in range(1, m + 1) if m % d == 0]
+            rhs = 2 * sum(divs) - sum(min(d, m // d) for d in divs)
+            assert lhs == rhs, m
+
+    def test_class_numbers_of_suborders(self):
+        # Cox, Thm 7.24: h(f^2 D_K) from h(D_K) and the conductor f
+        for dk in range(-3, -2001, -1):
+            if not is_fundamental(dk):
+                continue
+            hk = class_number(dk)
+            for f in range(1, 31):
+                expected = Fraction(hk * f, unit_index(dk) if f > 1 else 1)
+                for q in primefactors(f):
+                    expected *= 1 - Fraction(kronecker_symbol(dk, q), q)
+                assert class_number(f * f * dk) == expected, (dk, f)
