@@ -38,8 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help=f"directory with phi<ell>.txt files (or ${MODPOLY_ENV_VAR})")
         sp.add_argument("--strict", action="store_true",
                         help="treat ambiguous multiplicity factors as failure")
-        sp.add_argument("--precision-bits", type=int, default=None,
-                        help="minimum working precision for class polynomials")
 
     sp = sub.add_parser("graph", help="build the isogeny graph and export it")
     common(sp, p=True, ell=True)
@@ -65,6 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("locate", help="locate an order's cycles in the graph")
     common(sp, p=True, ell=True)
     sp.add_argument("--disc", type=int, required=True)
+    sp.add_argument("--precision-bits", type=int, default=0,
+                    help="minimum working precision for class polynomials")
 
     return parser
 
@@ -84,8 +84,9 @@ def _validate(args):
     n = getattr(args, "N", None)
     if n is not None and not (3 <= n <= MAX_R):
         raise ValueError(f"--N must be within 3..{MAX_R}")
-    if args.precision_bits is not None:
-        hilbert.set_minimum_precision(args.precision_bits)
+    bits = getattr(args, "precision_bits", 0)
+    if not (0 <= bits <= hilbert.MAX_PRECISION_BITS):
+        raise ValueError(f"--precision-bits must be within 0..{hilbert.MAX_PRECISION_BITS}")
 
 
 def _write(text: str, out_path: str | None):
@@ -195,7 +196,8 @@ def _spectral(args):
 def _locate(args):
     hilbert.check_root_degree(args.disc)
     g = ssgraph.build_graph(args.p, args.ell, modpoly_dir=args.modpoly_dir)
-    cycles = hilbert.locate_rim_vertices(args.disc, args.p, args.ell, g)
+    cycles = hilbert.locate_rim_vertices(args.disc, args.p, args.ell, g,
+                                         min_precision=args.precision_bits)
     rendered = [[str(v) for v in cyc] for cyc in cycles]
     for cyc in rendered:
         print("cycle: (" + ", ".join(cyc) + ")")

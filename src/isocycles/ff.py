@@ -286,15 +286,14 @@ def _frobenius_power(f, p, n):
 
 
 def _candidates(p):
-    """Deterministic splitting candidates: 1, s, 1+s, 2, 2+s, 3, 3+s, ..."""
+    """The 2p splitting candidates a and a + s for a in F_p: 1, s, 1+s, 2, 2+s, ..., 0."""
     yield (1, 0)
     yield (0, 1)
     yield (1, 1)
-    a = 2
-    while True:
-        yield (a % p, 0)
-        yield (a % p, 1)
-        a += 1
+    for a in range(2, p):
+        yield (a, 0)
+        yield (a, 1)
+    yield (0, 0)
 
 
 def _split_linear(g, p, n):
@@ -312,7 +311,11 @@ def _split_linear(g, p, n):
         if 0 < len(d) - 1 < len(g) - 1:
             q = _pquo(g, d, p, n)
             return _split_linear(d, p, n) + _split_linear(q, p, n)
-    raise AssertionError("splitting candidates exhausted")  # pragma: no cover
+    raise ArithmeticError(
+        f"poly_roots(p={p}): no splitting candidate separates the roots of a "
+        f"degree-{len(g) - 1} factor; it does not split into distinct linear "
+        f"factors over F_(p^2)"
+    )
 
 
 def _pquo(u, f, p, n):

@@ -150,6 +150,32 @@ class TestLocateCommand:
         assert code == 2
         assert "h(-7831) = 66 exceeds the root-finding degree cap 64" in err
 
+    def test_precision_bits_leave_later_calls_at_default(self, capsys, monkeypatch):
+        # the flag reaches the one locate call it was given and nothing after
+        used = []
+        expand = hilbert._expand_at
+
+        def recording(forms, D, precision):
+            used.append(precision)
+            return expand(forms, D, precision)
+
+        monkeypatch.setattr(hilbert, "_expand_at", recording)
+        hilbert._class_poly_cached.cache_clear()
+        argv = ["locate", "--disc", "-31", "--p", "179", "--ell", "2"]
+        code, high, _ = run(capsys, *argv, "--precision-bits", "4096")
+        assert code == 0 and used == [4096]
+        code, default, _ = run(capsys, *argv)
+        assert code == 0 and high == default
+        assert len(used) == 2 and used[1] < 4096
+        # a direct call at default precision reuses the default expansion
+        hilbert.hilbert_class_poly(-31)
+        assert len(used) == 2
+
+    def test_precision_bits_over_cap_refused(self, capsys):
+        code, _, err = run(capsys, "locate", "--disc", "-31", "--p", "179",
+                           "--ell", "2", "--precision-bits", "8193")
+        assert code == 2 and "--precision-bits must be within 0..8192" in err
+
 
 class TestStrictFlag:
     def test_ambiguous_taints_exit_under_strict(self, capsys, tmp_path):

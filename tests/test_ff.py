@@ -8,6 +8,8 @@ from isocycles.ff import (
     PolyOverFp2,
     PrimeField,
     QuadExtElement,
+    _candidates,
+    _split_linear,
     kronecker_symbol,
     poly_roots,
 )
@@ -169,6 +171,17 @@ class TestPolyRoots:
         coeffs = [F.one] + [F.zero] * 64 + [F.one]
         with pytest.raises(ValueError):
             poly_roots(PolyOverFp2(F, coeffs))
+
+    def test_splitting_gives_up_on_irreducible_quadratic(self):
+        # x^2 - t with t a non-square in F_{p^2} has no root there; the
+        # splitting loop stops after its 2p distinct candidates
+        p = 13
+        F = PrimeField(p)
+        assert len(set(_candidates(p))) == len(list(_candidates(p))) == 2 * p
+        t = next(F.elem(a, b) for a, b in itertools.product(range(p), repeat=2)
+                 if kronecker_symbol(a * a - F.non_residue * b * b, p) == -1)
+        with pytest.raises(ArithmeticError, match=r"poly_roots\(p=13\).*degree-2"):
+            _split_linear([(-t.a % p, -t.b % p), (0, 0), (1, 0)], p, F.non_residue)
 
     def test_constant_poly_has_no_roots(self):
         F = PrimeField(7)

@@ -4,14 +4,15 @@ import mpmath as mp
 import pytest
 
 from isocycles import hilbert
-from isocycles.ff import PrimeField
+from isocycles.ff import PrimeField, poly_roots
 from isocycles.hilbert import (
     hilbert_class_poly,
     hilbert_mod_p,
     j_evaluate,
     locate_rim_vertices,
 )
-from isocycles.quadform import class_number
+from isocycles.ordercount import enumerate_orders
+from isocycles.quadform import class_number, reduced_forms
 
 SINGLETON_CLASS_POLYS = {
     -3: (0, 1),
@@ -25,6 +26,61 @@ SINGLETON_CLASS_POLYS = {
     -27: (12288000, 1),
     -28: (-16581375, 1),
     -43: (884736000, 1),
+}
+
+
+def e4_delta_j(tau, precision):
+    """j = E4^3 / Delta from the Eisenstein and discriminant q-series."""
+    q = mp.expjpi(2 * tau)
+    absq = abs(q)
+    lam = -mp.ln(absq)
+    target = (precision + 16) * mp.ln(2)
+    n_terms = 16
+    while n_terms * lam < target + mp.ln(240) + 4 * mp.ln(n_terms) - mp.ln(1 - absq):
+        n_terms += 8
+    e4 = eta = mp.mpc(1)
+    qn = q
+    for n in range(1, n_terms + 1):
+        e4 += 240 * n**3 * qn / (1 - qn)
+        eta *= 1 - qn
+        qn *= q
+    return e4**3 / (q * eta**24)
+
+
+def e4_delta_class_poly(D):
+    """H_D expanded over every reduced form in complex arithmetic."""
+    forms = reduced_forms(D)
+    precision = hilbert._precision_for(forms, 0)
+    with mp.workprec(precision + 48):
+        coeffs = [mp.mpc(1)]
+        for f in forms:
+            root = e4_delta_j((-f.b + mp.sqrt(mp.mpc(D))) / (2 * f.a), precision)
+            coeffs = [mp.mpc(0)] + coeffs
+            for i in range(len(coeffs) - 1):
+                coeffs[i] -= root * coeffs[i + 1]
+        rounded = tuple(int(mp.nint(mp.re(c))) for c in coeffs)
+        residual = max(max(abs(mp.re(c) - r), abs(mp.im(c))) for c, r in zip(coeffs, rounded))
+    assert residual < 0.25, (D, residual)
+    return rounded
+
+
+# locate_rim_vertices at (179, 2) for the two orders with the largest class
+# number, 45, listed at level 9: each cycle as its vertex labels
+PINNED_CYCLES_179 = {
+    -1319: [
+        "5+10*s 61 5+10*s 61 5+169*s 107+102*s 109+16*s 109+163*s 107+77*s",
+        "5+10*s 61 121 112 35 112 35 120 140",
+        "5+169*s 61 121 112 35 112 35 120 140",
+        "5+169*s 140 120 171 109+16*s 109+163*s 171 120 140",
+        "22 107+77*s 109+163*s 171 109+16*s 107+102*s 22 117 117",
+    ],
+    -2039: [
+        "0 121 61 5+10*s 140 120 35 112 121",
+        "0 121 61 5+10*s 140 120 35 112 121",
+        "5+10*s 61 5+169*s 107+102*s 22 117 117 22 107+77*s",
+        "5+169*s 107+102*s 109+16*s 109+163*s 171 120 140 5+169*s 140",
+        "107+77*s 109+163*s 109+16*s 171 109+16*s 171 120 171 109+163*s",
+    ],
 }
 
 
@@ -74,6 +130,17 @@ class TestClassPoly:
     def test_minus_15_classical_value(self):
         assert hilbert_class_poly(-15).coefficients == (-121287375, 191025, 1)
 
+    def test_minus_23_classical_value(self):
+        assert hilbert_class_poly(-23).coefficients == (
+            12771880859375, -5151296875, 3491750, 1)
+
+    def test_matches_e4_delta_expansion_up_to_500(self):
+        # the eta quotient with conjugate pairing against E4^3 / Delta over
+        # every form, at the same working precision
+        for n in range(3, 501):
+            if -n % 4 in (0, 1):
+                assert hilbert_class_poly(-n).coefficients == e4_delta_class_poly(-n), -n
+
     @pytest.mark.parametrize("disc", [-31, -47, -231, -255, -964, -1003, -2999])
     def test_degree_equals_class_number(self, disc):
         poly = hilbert_class_poly(disc)
@@ -94,6 +161,22 @@ class TestClassPoly:
         with pytest.raises(ValueError, match=r"hilbert_class_poly\(D=-99991\): "
                            r"needs 10115 bits, over the cap 8192"):
             hilbert_class_poly(-99991)
+
+    @pytest.mark.parametrize("floor,tried", [(500, [500, 1000, 2000, 4000]),
+                                             (3000, [3000, 6000])])
+    def test_residual_retries_end_with_named_error(self, monkeypatch, floor, tried):
+        # doublings stop after three retries or at the precision cap
+        used = []
+
+        def noisy(forms, D, precision):
+            used.append(precision)
+            return [0] * (len(forms) + 1), 0.5
+
+        monkeypatch.setattr(hilbert, "_expand_at", noisy)
+        with pytest.raises(ArithmeticError, match=rf"^hilbert_class_poly\(D=-71\): "
+                           rf"rounding residual 0.5 at {tried[-1]} bits"):
+            hilbert_class_poly(-71, min_precision=floor)
+        assert used == tried
 
     def test_export_text(self):
         assert hilbert_class_poly(-4).to_text() == "-4: -1728 1"
@@ -179,3 +262,30 @@ class TestLocate:
         graph = SimpleNamespace(p=3361, ell=2)
         with pytest.raises(ValueError, match="degree cap 64"):
             locate_rim_vertices(-7831, 3361, 2, graph)
+
+    def test_threading_of_every_order_at_179(self, g179):
+        F = g179.field
+        seen = 0
+        for r in range(3, 10):
+            for rec in enumerate_orders(r, 179, 2):
+                D = rec.discriminant.value
+                cycles = locate_rim_vertices(D, 179, 2, g179)
+                assert len(cycles) == rec.h // r and all(len(c) == r for c in cycles), D
+                for cyc in cycles:
+                    for u, v in zip(cyc, cyc[1:] + cyc[:1]):
+                        assert g179.multiplicity(g179.vertex_index[u],
+                                                 g179.vertex_index[v]) > 0, (D, u, v)
+                vertices = sorted(v for cyc in cycles for v in cyc)
+                assert vertices == poly_roots(hilbert_mod_p(D, 179, F)), D
+                if D in PINNED_CYCLES_179:
+                    seen += 1
+                    assert [" ".join(map(str, c)) for c in cycles] == PINNED_CYCLES_179[D]
+        assert seen == len(PINNED_CYCLES_179)
+
+    def test_errors_name_stage_and_inputs(self, g179):
+        with pytest.raises(ValueError, match=r"^locate_rim_vertices\(D=-23, p=179, ell=2\): "
+                           r".*splits in the field"):
+            locate_rim_vertices(-23, 179, 2, g179)
+        with pytest.raises(ValueError, match=r"^locate_rim_vertices\(D=-31, p=179, ell=3\): "
+                           r"graph was built for different"):
+            locate_rim_vertices(-31, 179, 3, g179)
