@@ -194,7 +194,8 @@ def _spectral(args):
 
 
 def _locate(args):
-    hilbert.check_root_degree(args.disc)
+    with hilbert.locate_stage(args.disc, args.p, args.ell):
+        hilbert.check_root_degree(args.disc)
     g = ssgraph.build_graph(args.p, args.ell, modpoly_dir=args.modpoly_dir)
     cycles = hilbert.locate_rim_vertices(args.disc, args.p, args.ell, g,
                                          min_precision=args.precision_bits)

@@ -1,4 +1,4 @@
-"""Exact arithmetic in F_p and F_{p^2}, Kronecker symbols, and root finding.
+"""Exact arithmetic in F_p and F_{p^2}, Kronecker symbols, square roots, and root finding.
 
 F_{p^2} is realised as F_p(s) with s^2 = n for the smallest quadratic
 non-residue n >= 2 mod p, so element representations are canonical and
@@ -234,6 +234,65 @@ def _inv2(a, b, p, n):
     norm = (a * a - n * b * b) % p
     inv = pow(norm, p - 2, p)
     return (a * inv % p, -b * inv % p)
+
+
+def _sqrt_fp(x, p, n):
+    """A square root of x in F_p, or None if x is a non-residue.
+
+    pow when p = 3 mod 4; Tonelli-Shanks with the non-residue n otherwise.
+    """
+    x %= p
+    if x == 0:
+        return 0
+    if p % 4 == 3:
+        r = pow(x, (p + 1) // 4, p)
+        return r if r * r % p == x else None
+    if pow(x, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    c = pow(n, q, p)
+    r = pow(x, (q + 1) // 2, p)
+    t = pow(x, q, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        r, c = r * b % p, b * b % p
+        t, s = t * c % p, i
+    return r
+
+
+def _sqrt_fp2(z, p, n):
+    """A square root of z = a + b*s in F_{p^2}; ArithmeticError if z is not a square.
+
+    With norm N = a^2 - n*b^2 = c^2 in F_p, a root x + y*s has x^2 = (a + c)/2
+    or (a - c)/2 (exactly one is a residue when b != 0) and y = b/(2x).
+    """
+    a, b = z
+    if b == 0:
+        r = _sqrt_fp(a, p, n)
+        if r is not None:
+            return (r, 0)
+        return (0, _sqrt_fp(a * pow(n, p - 2, p), p, n))
+    c = _sqrt_fp(a * a - n * b * b, p, n)
+    if c is None:
+        raise ArithmeticError(f"{a}+{b}*s is not a square in F_(p^2), p={p}")
+    half = (p + 1) // 2
+    x = _sqrt_fp((a + c) * half, p, n)
+    if x is None:
+        x = _sqrt_fp((a - c) * half, p, n)
+    return (x, b * pow(2 * x, p - 2, p) % p)
+
+
+def _from_roots(roots, p, n):
+    """Coefficients of the monic product of (X - r) over roots, low degree first."""
+    out = [(1, 0)]
+    for ra, rb in roots:
+        out = _pmul(out, [(-ra % p, -rb % p), (1, 0)], p, n)
+    return out
 
 
 def _monic(u, p, n):

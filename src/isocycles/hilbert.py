@@ -12,6 +12,7 @@ mod-p roots into cycles of the isogeny graph by a depth-first search.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -195,8 +196,15 @@ def locate_rim_vertices(D, p: int, ell: int, graph, min_precision: int = 0) -> l
     Output cycles are canonicalized up to rotation and reversal, preferring
     lexicographically least starting vertices.  Errors name the inputs.
     """
-    try:
+    with locate_stage(D, p, ell):
         return _thread_rims(D, p, ell, graph, min_precision)
+
+
+@contextmanager
+def locate_stage(D, p: int, ell: int):
+    """Prefix errors raised inside with `locate_rim_vertices(D=…, p=…, ell=…): `."""
+    try:
+        yield
     except (ValueError, ArithmeticError) as exc:
         where = f"locate_rim_vertices(D={getattr(D, 'value', D)}, p={p}, ell={ell}): "
         exc.args = (where + str(exc),)

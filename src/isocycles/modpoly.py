@@ -2,8 +2,8 @@
 
 Storage keeps one coefficient per symmetric pair (i, j) with i >= j;
 the implied symmetry c[i,j] = c[j,i] completes the polynomial.
-Coefficients are reduced mod p only at instantiation, so one loaded
-object serves every prime.
+Coefficients are reduced mod p only by `reduce_mod_p`, once per prime,
+so one loaded object serves every prime.
 """
 
 from __future__ import annotations
@@ -78,9 +78,6 @@ class ModularPolynomial:
         if i < j:
             i, j = j, i
         return self.coefficients.get((i, j), 0)
-
-    def instantiate(self, j_value: QuadExtElement, field: PrimeField) -> PolyOverFp2:
-        return instantiate(self, j_value, field)
 
     def diagonal(self) -> list[int]:
         """Integer coefficients of Phi_ell(X, X), lowest degree first."""
@@ -163,20 +160,43 @@ def resolve_modular_polynomial(level: int, modpoly_dir: str | None = None) -> Mo
     return load_modular_polynomial(level, os.path.join(directory, f"phi{level}.txt"))
 
 
+def reduce_mod_p(phi: ModularPolynomial, p: int) -> list[list[tuple[int, int]]]:
+    """Phi_ell(X, Y) mod p as rows: row i lists (k, c) with c*Y^k in the X^i coefficient."""
+    if phi.level >= p:
+        raise ValueError(f"level {phi.level} must be smaller than p={p}")
+    rows = [[] for _ in range(phi.level + 2)]
+    for (i, j), c in phi.coefficients.items():
+        rows[i].append((j, c % p))
+        if i != j:
+            rows[j].append((i, c % p))
+    return rows
+
+
+def instantiate_pairs(rows, v: tuple[int, int], p: int, n: int) -> list[tuple[int, int]]:
+    """Coefficient pairs of Phi_ell(X, v) for v = (a, b) in F_p(s), s^2 = n.
+
+    `rows` comes from `reduce_mod_p`; the result is monic of degree ell + 1,
+    lowest degree first.
+    """
+    a, b = v
+    powers = [(1, 0)]
+    for _ in range(len(rows) - 1):
+        x, y = powers[-1]
+        powers.append(((x * a + n * y * b) % p, (x * b + y * a) % p))
+    out = []
+    for row in rows:
+        sa = sb = 0
+        for k, c in row:
+            x, y = powers[k]
+            sa += c * x
+            sb += c * y
+        out.append((sa % p, sb % p))
+    return out
+
+
 def instantiate(phi: ModularPolynomial, j_value: QuadExtElement, field: PrimeField) -> PolyOverFp2:
     """The univariate polynomial Phi_ell(X, j) over F_{p^2}, degree ell + 1."""
     if j_value.field != field:
         raise ValueError("j-invariant does not live in the given field")
-    if phi.level >= field.p:
-        raise ValueError(f"level {phi.level} must be smaller than p={field.p}")
-    d = phi.level + 1
-    powers = [field.one]
-    for _ in range(d):
-        powers.append(powers[-1] * j_value)
-    coeffs = [field.zero] * (d + 1)
-    for (i, j), c in phi.coefficients.items():
-        ce = field.elem(c % field.p)
-        coeffs[i] = coeffs[i] + ce * powers[j]
-        if i != j:
-            coeffs[j] = coeffs[j] + ce * powers[i]
-    return PolyOverFp2(field, coeffs)
+    rows = reduce_mod_p(phi, field.p)
+    return PolyOverFp2(field, instantiate_pairs(rows, j_value.key(), field.p, field.non_residue))

@@ -3,7 +3,9 @@
 One supersingular j-invariant is produced from congruence conditions on p
 (or a CM seed when p = 1 mod 12), the graph is closed under roots of the
 instantiated modular polynomial, and the vertex census is validated
-against the closed-form count.
+against the closed-form count.  At ell = 2 a vertex's roots other than its
+BFS parent come from one square root in F_{p^2} (Charles-Goren-Lauter);
+the seed, and every vertex for ell >= 3, use the general splitting.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ from functools import lru_cache
 from sympy import isprime, nextprime
 
 from . import hilbert
-from .ff import PrimeField, QuadExtElement, kronecker_symbol, poly_roots
-from .modpoly import ModularPolynomial, resolve_modular_polynomial
+from .ff import (PrimeField, QuadExtElement, _divide_out_root, _from_roots,
+                 _roots_internal, _sqrt_fp2, kronecker_symbol, poly_roots)
+from .modpoly import (ModularPolynomial, instantiate_pairs, reduce_mod_p,
+                      resolve_modular_polynomial)
 
 MAX_GRAPH_PRIME = 2 * 10**5
 _SEED_SEARCH_LIMIT = 1000
@@ -37,7 +41,7 @@ def initial_supersingular_j(p: int) -> QuadExtElement:
     smallest prime q = 3 mod 4 that is inert over p.
     """
     if p < 5 or not isprime(p):
-        raise ValueError(f"p must be a prime >= 5, got {p}")
+        raise ValueError(f"initial_supersingular_j(p={p}): p must be a prime >= 5")
     field = PrimeField(p)
     if p % 4 == 3:
         return field.elem(1728)
@@ -49,7 +53,9 @@ def initial_supersingular_j(p: int) -> QuadExtElement:
             break
         q = int(nextprime(q))
         if q > _SEED_SEARCH_LIMIT:
-            raise RuntimeError(f"no CM seed prime below {_SEED_SEARCH_LIMIT} for p={p}")
+            raise ArithmeticError(
+                f"initial_supersingular_j(p={p}): no CM seed prime below {_SEED_SEARCH_LIMIT}"
+            )
     roots = poly_roots(hilbert.hilbert_mod_p(-q, p, field))
     return roots[0]
 
@@ -132,8 +138,17 @@ def build_graph(p: int, ell: int, modpoly: ModularPolynomial | None = None,
     """BFS closure of the supersingular locus under ell-isogeny adjacency.
 
     The vertex count is validated against the closed-form census; a
-    mismatch signals an arithmetic bug or a non-supersingular seed.
+    mismatch signals an arithmetic bug or a non-supersingular seed.  Every
+    error names the stage and (p, ell).
     """
+    try:
+        return _build(p, ell, modpoly, modpoly_dir)
+    except (ValueError, ArithmeticError) as exc:
+        exc.args = (f"build_graph(p={p}, ell={ell}): {exc}",)
+        raise
+
+
+def _build(p, ell, modpoly, modpoly_dir):
     if not isprime(ell):
         raise ValueError(f"ell must be prime, got {ell}")
     if p > MAX_GRAPH_PRIME:
@@ -147,41 +162,73 @@ def build_graph(p: int, ell: int, modpoly: ModularPolynomial | None = None,
 
     seed = initial_supersingular_j(p)
     field = seed.field
+    n = field.non_residue
+    rows = reduce_mod_p(modpoly, p)
     expected = vertex_count_formula(p)
 
-    neighbours: dict[QuadExtElement, list[QuadExtElement]] = {}
-    frontier = [seed]
-    seen = {seed}
+    # BFS on (a, b) pairs.  Every neighbour of a supersingular j lies in
+    # F_{p^2}, and Phi_ell is symmetric, so the BFS parent of a vertex is a
+    # root of Phi_ell(X, v): at ell = 2 the other two roots solve a quadratic.
+    neighbours: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    parent = {seed.key(): None}
+    frontier = [seed.key()]
     while frontier:
         nxt = []
         for v in frontier:
-            roots = poly_roots(modpoly.instantiate(v, field))
+            coeffs = instantiate_pairs(rows, v, p, n)
+            u = parent[v]
+            if u is None or ell != 2:
+                roots = _roots_internal(coeffs, p, n)
+            else:
+                roots = sorted([u, *_other_two_roots(coeffs, u, p, n)])
+            if _from_roots(roots, p, n) != coeffs:
+                raise ArithmeticError(
+                    f"roots {roots} of Phi_{ell}(X, {v[0]}+{v[1]}*s) do not rebuild it"
+                )
             neighbours[v] = roots
             for w in roots:
-                if w not in seen:
-                    seen.add(w)
+                if w not in parent:
+                    parent[w] = v
                     nxt.append(w)
         frontier = nxt
-        if len(seen) > expected:
+        if len(parent) > expected:
             break
 
-    if len(seen) != expected:
+    if len(parent) != expected:
         raise ArithmeticError(
-            f"vertex census mismatch for p={p}, ell={ell}: closure found "
-            f"{len(seen)} vertices, formula gives {expected}"
+            f"vertex census mismatch: closure found {len(parent)} vertices, "
+            f"formula gives {expected}"
         )
 
-    vertices = sorted(seen)
-    index = {v: i for i, v in enumerate(vertices)}
-    adjacency: list[dict[int, int]] = [dict() for _ in vertices]
+    keys = sorted(parent)
+    index = {v: i for i, v in enumerate(keys)}
+    adjacency: list[dict[int, int]] = [dict() for _ in keys]
     for v, roots in neighbours.items():
         row = adjacency[index[v]]
         for w in roots:
             row[index[w]] = row.get(index[w], 0) + 1
 
+    vertices = [QuadExtElement(field, a, b) for a, b in keys]
     graph = IsogenyGraph(p, ell, field, vertices, adjacency)
     _validate(graph)
     return graph
+
+
+def _other_two_roots(coeffs, u, p, n):
+    """Roots of the cubic Phi_2(X, v) besides its known root u, with multiplicity."""
+    (q0, q1, _), rem = _divide_out_root(coeffs, u, p, n)
+    if rem != (0, 0):
+        raise ArithmeticError(f"parent {u[0]}+{u[1]}*s is not a root of Phi_2(X, v)")
+    # X^2 + q1 X + q0 has roots (-q1 +- sqrt(q1^2 - 4 q0)) / 2
+    a, b = q1
+    disc = ((a * a + n * b * b - 4 * q0[0]) % p, (2 * a * b - 4 * q0[1]) % p)
+    try:
+        ra, rb = _sqrt_fp2(disc, p, n)
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"discriminant of the deflated quadratic: {exc}") from None
+    half = (p + 1) // 2
+    return (((ra - a) * half % p, (rb - b) * half % p),
+            ((-ra - a) * half % p, (-rb - b) * half % p))
 
 
 def _validate(graph: IsogenyGraph):

@@ -13,6 +13,13 @@ def run(capsys, *argv):
 
 
 class TestGraphCommand:
+    def test_no_cm_seed_exits_2_with_stage(self, capsys, monkeypatch):
+        monkeypatch.setattr(ssgraph, "_SEED_SEARCH_LIMIT", 5)
+        code, _, err = run(capsys, "graph", "--p", "13", "--ell", "2")
+        assert code == 2
+        assert err.startswith(
+            "error: build_graph(p=13, ell=2): initial_supersingular_j(p=13): no CM seed")
+
     def test_json_output(self, capsys, tmp_path):
         out = tmp_path / "g.json"
         code, stdout, _ = run(capsys, "graph", "--p", "179", "--ell", "2",
@@ -149,6 +156,7 @@ class TestLocateCommand:
                            "--ell", "2")
         assert code == 2
         assert "h(-7831) = 66 exceeds the root-finding degree cap 64" in err
+        assert err.startswith("error: locate_rim_vertices(D=-7831, p=3361, ell=2): ")
 
     def test_precision_bits_leave_later_calls_at_default(self, capsys, monkeypatch):
         # the flag reaches the one locate call it was given and nothing after

@@ -10,6 +10,7 @@ from isocycles.ff import (
     QuadExtElement,
     _candidates,
     _split_linear,
+    _sqrt_fp2,
     kronecker_symbol,
     poly_roots,
 )
@@ -240,3 +241,22 @@ class TestPolyRoots:
         combined = poly_roots(f * g)
         separate = sorted(poly_roots(f) + poly_roots(g))
         assert combined == separate
+
+
+class TestSqrtFp2:
+    @pytest.mark.parametrize("p", [13, 17, 19, 23])
+    def test_every_element(self, p):
+        # p = 13, 17 take Tonelli-Shanks (p - 1 = 12, 16: 2-adic depth 2 and 4),
+        # p = 19, 23 the pow branch; b = 0 covers F_p residues and non-residues
+        F = PrimeField(p)
+        n = F.non_residue
+        elements = list(itertools.product(range(p), repeat=2))
+        squares = {(F.elem(*x) * F.elem(*x)).key() for x in elements}
+        assert len(squares) == (p * p + 1) // 2
+        for z in elements:
+            if z in squares:
+                r = F.elem(*_sqrt_fp2(z, p, n))
+                assert (r * r).key() == z
+            else:
+                with pytest.raises(ArithmeticError, match="not a square"):
+                    _sqrt_fp2(z, p, n)

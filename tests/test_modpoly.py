@@ -161,6 +161,21 @@ class TestInstantiate:
         for j in [F.zero, F.one, F.elem(1728), F.elem(17, 5), F.elem(p - 1, p - 2)]:
             assert instantiate(phi, j, F).degree == level + 1
 
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_matches_symmetric_evaluation(self, level):
+        # f(x) = sum of c_ij (x^i j^j + x^j j^i) over stored i > j, plus the diagonal
+        F = PrimeField(1009)
+        phi = load_modular_polynomial(level)
+        for j in [F.zero, F.elem(1728), F.elem(17, 5), F.elem(1008, 1007)]:
+            f = instantiate(phi, j, F)
+            for x in [F.one, F.elem(3, 11), F.elem(500, 2)]:
+                want = F.zero
+                for (i, k), c in phi.coefficients.items():
+                    want = want + F.elem(c) * x**i * j**k
+                    if i != k:
+                        want = want + F.elem(c) * x**k * j**i
+                assert f(x) == want
+
     def test_level_must_be_below_p(self):
         fake7 = ModularPolynomial(7, {(8, 0): 1, (7, 7): -1, (0, 0): 3})
         F = PrimeField(5)

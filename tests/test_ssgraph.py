@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from isocycles.ff import PolyOverFp2, PrimeField, poly_roots
+from isocycles import ssgraph
+from isocycles.ff import PolyOverFp2, PrimeField, _sqrt_fp2, poly_roots
+from isocycles.modpoly import instantiate, load_modular_polynomial
 from isocycles.ssgraph import (
     build_graph,
     initial_supersingular_j,
@@ -39,8 +41,15 @@ class TestSeed:
         assert g.vertex_count == 1
 
     def test_rejects_composite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^initial_supersingular_j\(p=15\): "):
             initial_supersingular_j(15)
+
+    def test_no_cm_seed_is_an_arithmetic_error(self, monkeypatch):
+        # at p = 13 the first inert q = 3 mod 4 is 7, over a limit of 5
+        monkeypatch.setattr(ssgraph, "_SEED_SEARCH_LIMIT", 5)
+        with pytest.raises(ArithmeticError,
+                           match=r"^initial_supersingular_j\(p=13\): no CM seed"):
+            initial_supersingular_j(13)
 
 
 class TestBuild179(object):
@@ -128,6 +137,40 @@ class TestBuildErrors:
         monkeypatch.delenv("ISOCYCLES_MODPOLY_DIR", raising=False)
         with pytest.raises(ValueError, match="not embedded"):
             build_graph(179, 5)
+
+    def test_errors_name_stage_and_inputs(self, monkeypatch):
+        with pytest.raises(ValueError, match=r"^build_graph\(p=5, ell=5\): need ell < p"):
+            build_graph(5, 5)
+        monkeypatch.setattr(ssgraph, "vertex_count_formula", lambda p: 17)
+        with pytest.raises(ArithmeticError,
+                           match=r"^build_graph\(p=179, ell=2\): vertex census mismatch"):
+            build_graph(179, 2)
+
+    def test_wrong_square_root_fails_certification(self, monkeypatch):
+        def off_by_one(z, p, n):
+            a, b = _sqrt_fp2(z, p, n)
+            return ((a + 1) % p, b)
+
+        monkeypatch.setattr(ssgraph, "_sqrt_fp2", off_by_one)
+        with pytest.raises(ArithmeticError,
+                           match=r"^build_graph\(p=179, ell=2\): .* do not rebuild it"):
+            build_graph(179, 2)
+
+
+class TestAgainstGeneralRootFinder:
+    @pytest.mark.parametrize("p", [179, 613, 1009, 1013, 1031, 1039, 3361])
+    def test_adjacency_at_ell_2(self, p):
+        # the parent-deflation builder against poly_roots at every vertex;
+        # 613 = 1 mod 12 has a half-loop, 1013, 1031, 1039 cover 5, 11, 7 mod 12
+        g = build_graph(p, 2)
+        phi = load_modular_polynomial(2)
+        expected = []
+        for v in g.vertices:
+            row = {}
+            for w in poly_roots(instantiate(phi, v, g.field)):
+                row[g.vertex_index[w]] = row.get(g.vertex_index[w], 0) + 1
+            expected.append(row)
+        assert g.adjacency == expected
 
 
 class TestExport:
