@@ -16,8 +16,7 @@ from functools import lru_cache
 from sympy import isprime, nextprime
 
 from . import hilbert
-from .ff import (PrimeField, QuadExtElement, _divide_out_root, _from_roots,
-                 _roots_internal, _sqrt_fp2, kronecker_symbol, poly_roots)
+from .ff import PolyOverFp2, PrimeField, QuadExtElement, kronecker_symbol, poly_roots
 from .modpoly import (ModularPolynomial, instantiate_pairs, reduce_mod_p,
                       resolve_modular_polynomial)
 
@@ -175,16 +174,15 @@ def _build(p, ell, modpoly, modpoly_dir):
     while frontier:
         nxt = []
         for v in frontier:
-            coeffs = instantiate_pairs(rows, v, p, n)
+            f = PolyOverFp2(field, instantiate_pairs(rows, v, p, n))
             u = parent[v]
-            if u is None or ell != 2:
-                roots = _roots_internal(coeffs, p, n)
-            else:
-                roots = sorted([u, *_other_two_roots(coeffs, u, p, n)])
-            if _from_roots(roots, p, n) != coeffs:
+            known = None if u is None or ell != 2 else QuadExtElement(field, *u)
+            found = poly_roots(f, known_root=known)
+            if PolyOverFp2.from_roots(field, found) != f:
                 raise ArithmeticError(
-                    f"roots {roots} of Phi_{ell}(X, {v[0]}+{v[1]}*s) do not rebuild it"
+                    f"roots {found} of Phi_{ell}(X, {v[0]}+{v[1]}*s) do not rebuild it"
                 )
+            roots = [r.key() for r in found]
             neighbours[v] = roots
             for w in roots:
                 if w not in parent:
@@ -212,23 +210,6 @@ def _build(p, ell, modpoly, modpoly_dir):
     graph = IsogenyGraph(p, ell, field, vertices, adjacency)
     _validate(graph)
     return graph
-
-
-def _other_two_roots(coeffs, u, p, n):
-    """Roots of the cubic Phi_2(X, v) besides its known root u, with multiplicity."""
-    (q0, q1, _), rem = _divide_out_root(coeffs, u, p, n)
-    if rem != (0, 0):
-        raise ArithmeticError(f"parent {u[0]}+{u[1]}*s is not a root of Phi_2(X, v)")
-    # X^2 + q1 X + q0 has roots (-q1 +- sqrt(q1^2 - 4 q0)) / 2
-    a, b = q1
-    disc = ((a * a + n * b * b - 4 * q0[0]) % p, (2 * a * b - 4 * q0[1]) % p)
-    try:
-        ra, rb = _sqrt_fp2(disc, p, n)
-    except ArithmeticError as exc:
-        raise ArithmeticError(f"discriminant of the deflated quadratic: {exc}") from None
-    half = (p + 1) // 2
-    return (((ra - a) * half % p, (rb - b) * half % p),
-            ((-ra - a) * half % p, (-rb - b) * half % p))
 
 
 def _validate(graph: IsogenyGraph):

@@ -260,3 +260,39 @@ class TestSqrtFp2:
             else:
                 with pytest.raises(ArithmeticError, match="not a square"):
                     _sqrt_fp2(z, p, n)
+
+
+class TestKnownRoot:
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_every_split_cubic(self, p):
+        # every multiset {u, r1, r2} of F_{p^2}: double and triple roots included
+        F = PrimeField(p)
+        elements = [F.elem(a, b) for a in range(p) for b in range(p)]
+        scale = F.elem(2, 1)
+        for u, r1, r2 in itertools.combinations_with_replacement(elements, 3):
+            f = PolyOverFp2.from_roots(F, [u, r1, r2])
+            f = f * PolyOverFp2(F, [scale])
+            assert poly_roots(f, known_root=u) == sorted([u, r1, r2])
+            assert poly_roots(f, known_root=r2) == sorted([u, r1, r2])
+
+    def test_quartic_splits_the_cubic_left(self):
+        F = PrimeField(179)
+        roots = [F.elem(3, 4), F.elem(3, 4), F.elem(100), F.elem(7, 170)]
+        f = PolyOverFp2.from_roots(F, roots)
+        assert poly_roots(f, known_root=roots[2]) == poly_roots(f) == sorted(roots)
+
+    def test_unknown_root_rejected(self):
+        F = PrimeField(179)
+        f = PolyOverFp2.from_roots(F, [F.elem(1), F.elem(2), F.elem(3)])
+        with pytest.raises(ArithmeticError, match="is not a root"):
+            poly_roots(f, known_root=F.elem(4))
+        with pytest.raises(ArithmeticError, match="is not a root"):
+            poly_roots(PolyOverFp2(F, [5]), known_root=F.elem(4))
+        assert poly_roots(PolyOverFp2(F, [3, 1]), known_root=F.elem(-3)) == [F.elem(-3)]
+
+    def test_non_square_discriminant_rejected(self):
+        # X^2 - s has no root in F_{p^2}: s is not a square there
+        F = PrimeField(13)
+        f = PolyOverFp2.from_roots(F, [F.one]) * PolyOverFp2(F, [(0, -1), 0, 1])
+        with pytest.raises(ArithmeticError, match="not a square"):
+            poly_roots(f, known_root=F.one)

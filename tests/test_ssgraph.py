@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from isocycles import ssgraph
+from isocycles import ff, ssgraph
 from isocycles.ff import PolyOverFp2, PrimeField, _sqrt_fp2, poly_roots
 from isocycles.modpoly import instantiate, load_modular_polynomial
 from isocycles.ssgraph import (
@@ -151,7 +151,7 @@ class TestBuildErrors:
             a, b = _sqrt_fp2(z, p, n)
             return ((a + 1) % p, b)
 
-        monkeypatch.setattr(ssgraph, "_sqrt_fp2", off_by_one)
+        monkeypatch.setattr(ff, "_sqrt_fp2", off_by_one)
         with pytest.raises(ArithmeticError,
                            match=r"^build_graph\(p=179, ell=2\): .* do not rebuild it"):
             build_graph(179, 2)
