@@ -13,9 +13,8 @@ import os
 import sys
 import tempfile
 
-from sympy import isprime
-
 from . import hilbert, nbwalk, ordercount, quadform, ssgraph
+from .ff import PRIMALITY_BOUND, is_prime
 from .modpoly import MODPOLY_ENV_VAR, resolve_modular_polynomial
 
 MAX_R = 40
@@ -72,10 +71,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _validate(args):
     p = getattr(args, "p", None)
     ell = getattr(args, "ell", None)
-    if p is not None and not isprime(p):
-        raise ValueError(f"--p must be prime, got {p}")
-    if ell is not None and not isprime(ell):
-        raise ValueError(f"--ell must be prime, got {ell}")
+    for flag, value in (("--p", p), ("--ell", ell)):
+        if value is None:
+            continue
+        if value >= PRIMALITY_BOUND:
+            raise ValueError(f"{flag} {value} is past the proven primality range: "
+                             f"it must be below {PRIMALITY_BOUND}")
+        if not is_prime(value):
+            raise ValueError(f"{flag} must be prime, got {value}")
     if p is not None and ell is not None and ell >= p:
         raise ValueError(f"need ell < p, got ell={ell}, p={p}")
     r_max = getattr(args, "r_max", None)

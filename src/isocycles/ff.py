@@ -1,15 +1,96 @@
-"""Exact arithmetic in F_p and F_{p^2}, Kronecker symbols, square roots, and root finding.
+"""Exact arithmetic in F_p and F_{p^2}, integer primitives, square roots, and root finding.
 
 F_{p^2} is realised as F_p(s) with s^2 = n for the smallest quadratic
 non-residue n >= 2 mod p, so element representations are canonical and
-comparable across runs.
+comparable across runs.  The integer primitives (primality, factoring,
+divisors, Mobius) are sized for the program's ranges: primes below
+PRIMALITY_BOUND and factoring of discriminants up to 10^8.
 """
 
 from __future__ import annotations
 
-from sympy import isprime
-
 MAX_ROOT_DEGREE = 64
+
+# psi_13, the least strong pseudoprime to every prime base up to 41
+# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 2017).  Miller-Rabin on those bases is a proof below it.
+PRIMALITY_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime, by deterministic Miller-Rabin on the bases 2..41.
+
+    Raises ValueError for n >= PRIMALITY_BOUND, where these bases prove
+    nothing.
+    """
+    if n >= PRIMALITY_BOUND:
+        raise ValueError(f"is_prime(n={n}): primality is proven only below {PRIMALITY_BOUND}")
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def next_prime(n: int) -> int:
+    """The least prime greater than n."""
+    n = max(n, 1) + 1
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def factor(n: int) -> dict[int, int]:
+    """Prime factorisation {q: e} of n >= 1, primes ascending.
+
+    Trial division by 2, 3 and then 6k +- 1 up to sqrt(n): at most about
+    3300 divisions for n <= 10^8, the discriminant cap.
+    """
+    if n < 1:
+        raise ValueError(f"factor(n={n}): n must be positive")
+    out = {}
+    for q in (2, 3):
+        while not n % q:
+            out[q] = out.get(q, 0) + 1
+            n //= q
+    q, step = 5, 2
+    while q * q <= n:
+        while not n % q:
+            out[q] = out.get(q, 0) + 1
+            n //= q
+        q, step = q + step, 6 - step
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 1, ascending."""
+    out = [1]
+    for q, e in factor(n).items():
+        out = [d * q**k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
+def mobius(n: int) -> int:
+    """The Mobius function of n >= 1."""
+    exponents = factor(n).values()
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
 
 
 def kronecker_symbol(a: int, n: int) -> int:
@@ -44,7 +125,7 @@ class PrimeField:
     def __init__(self, p: int):
         if p <= 3:
             raise ValueError(f"prime must exceed 3, got {p}")
-        if not isprime(p):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         n = 2

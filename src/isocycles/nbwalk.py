@@ -50,8 +50,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from sympy import divisors, mobius
 
+from .ff import divisors, mobius
 from .ssgraph import IsogenyGraph
 
 _INT64_MAX = 2**63 - 1
@@ -214,7 +214,7 @@ def directed_cycle_counts(traces: list[int], r_max: int | None = None) -> dict[i
         raise ValueError("traces shorter than requested r_max")
     out = {}
     for r in range(3, r_max + 1):
-        total = sum(int(mobius(r // d)) * traces[d - 1] for d in divisors(r))
+        total = sum(mobius(r // d) * traces[d - 1] for d in divisors(r))
         q, rem = divmod(total, r)
         if rem:
             raise ArithmeticError(f"Mobius inversion not divisible at r={r}: {total}")

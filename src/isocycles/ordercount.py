@@ -16,10 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from sympy import divisors, factorint, mobius
-
 from . import quadform
-from .ff import kronecker_symbol
+from .ff import divisors, factor, kronecker_symbol, mobius
 from .quadform import Discriminant
 
 MAX_N = 40
@@ -109,13 +107,14 @@ class RationalRange:
 
 
 def _check_level(N: int, p: int, ell: int):
+    where = f"q_set(N={N}, p={p}, ell={ell}): "
     if ell == p:
-        raise ValueError("ell and p must be distinct primes")
+        raise ValueError(f"{where}ell and p must be distinct primes")
     if N < 1 or N > MAX_N:
-        raise ValueError(f"N must be within 1..{MAX_N}")
+        raise ValueError(f"{where}N must be within 1..{MAX_N}")
     if 4 * ell**N > MAX_ABS_DELTA:
         raise ValueError(
-            f"4*ell^N = {4 * ell**N} exceeds the discriminant cap {MAX_ABS_DELTA}"
+            f"{where}4*ell^N = {4 * ell**N} exceeds the discriminant cap {MAX_ABS_DELTA}"
         )
 
 
@@ -173,9 +172,9 @@ def epsilon(D, ell: int, r: int, p: int) -> EpsilonValue:
 
 def _suborder_conductors(delta: int):
     square_part = 1
-    for q, e in factorint(-delta).items():
+    for q, e in factor(-delta).items():
         square_part *= q ** (e // 2)
-    for f in sorted(divisors(square_part)):
+    for f in divisors(square_part):
         if (delta // (f * f)) % 4 in (0, 1):
             yield f
 
@@ -215,9 +214,9 @@ def order_side_cycle_count(N: int, p: int, ell: int) -> RationalRange:
     total = RationalRange(0)
     for r in divisors(N):
         q = q_n(N // r, p, ell)
-        if int(mobius(r)) == 1:
+        if mobius(r) == 1:
             total = total + q
-        elif int(mobius(r)) == -1:
+        elif mobius(r) == -1:
             total = total - q
     result = total / N
     if result.exact and result.value.denominator != 1:

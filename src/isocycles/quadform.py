@@ -11,9 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, isqrt
 
-from sympy import factorint
-
-from .ff import kronecker_symbol
+from .ff import factor, kronecker_symbol
 
 MAX_ABS_DISC = 10**8
 
@@ -23,7 +21,11 @@ INERT = "inert"
 
 
 class Discriminant:
-    """Negative discriminant with cached factorisation, fundamental part and conductor."""
+    """Negative discriminant with cached factorisation, fundamental part and conductor.
+
+    |D| over MAX_ABS_DISC is refused before it is factored: every class-group
+    function starts from a Discriminant, and trial division is sized for the cap.
+    """
 
     __slots__ = ("value", "factors", "fundamental", "conductor")
 
@@ -32,8 +34,11 @@ class Discriminant:
             raise ValueError(f"discriminant must be negative, got {value}")
         if value % 4 not in (0, 1):
             raise ValueError(f"discriminant must be 0 or 1 mod 4, got {value}")
+        if -value > MAX_ABS_DISC:
+            raise ValueError(f"class_number(D={value}): |discriminant| {-value} "
+                             f"exceeds cap {MAX_ABS_DISC}")
         self.value = value
-        self.factors = factorint(-value)
+        self.factors = factor(-value)
         squarefree = 1
         for q, e in self.factors.items():
             if e % 2 == 1:
@@ -168,11 +173,6 @@ def compose(f1: BinaryQuadraticForm, f2: BinaryQuadraticForm) -> BinaryQuadratic
     return reduce(BinaryQuadraticForm(a3, b3, c3))
 
 
-def _check_cap(D: Discriminant):
-    if -D.value > MAX_ABS_DISC:
-        raise ValueError(f"|discriminant| {-D.value} exceeds cap {MAX_ABS_DISC}")
-
-
 def _reduced_triples(D: int):
     """The primitive reduced forms (a, b, c) of discriminant D with b >= 0.
 
@@ -205,7 +205,6 @@ def _reduced_forms(D: int) -> tuple:
 def reduced_forms(D) -> list[BinaryQuadraticForm]:
     """All primitive reduced forms of the discriminant, in (a, b) order."""
     D = _as_disc(D)
-    _check_cap(D)
     return list(_reduced_forms(D.value))
 
 
@@ -217,7 +216,6 @@ def _class_number(D: int) -> int:
 def class_number(D) -> int:
     """Class number h: the count of primitive reduced forms."""
     D = _as_disc(D)
-    _check_cap(D)
     return _class_number(D.value)
 
 
@@ -234,7 +232,6 @@ def genus_number(D) -> int:
     (mod 4), two when 8 | n, one otherwise.
     """
     D = _as_disc(D)
-    _check_cap(D)
     mu = sum(1 for q in D.factors if q != 2)
     if D.value % 4 == 0:
         n = -D.value // 4

@@ -11,12 +11,10 @@ the seed, and every vertex for ell >= 3, use the general splitting.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
-
-from sympy import isprime, nextprime
 
 from . import hilbert
-from .ff import PolyOverFp2, PrimeField, QuadExtElement, kronecker_symbol, poly_roots
+from .ff import (PolyOverFp2, PrimeField, QuadExtElement, is_prime, kronecker_symbol,
+                 next_prime, poly_roots)
 from .modpoly import (ModularPolynomial, instantiate_pairs, reduce_mod_p,
                       resolve_modular_polynomial)
 
@@ -39,7 +37,7 @@ def initial_supersingular_j(p: int) -> QuadExtElement:
     canonically smallest root of a class polynomial H_{-q} mod p for the
     smallest prime q = 3 mod 4 that is inert over p.
     """
-    if p < 5 or not isprime(p):
+    if p < 5 or not is_prime(p):
         raise ValueError(f"initial_supersingular_j(p={p}): p must be a prime >= 5")
     field = PrimeField(p)
     if p % 4 == 3:
@@ -50,7 +48,7 @@ def initial_supersingular_j(p: int) -> QuadExtElement:
     while True:
         if q % 4 == 3 and kronecker_symbol(-q, p) == -1:
             break
-        q = int(nextprime(q))
+        q = next_prime(q)
         if q > _SEED_SEARCH_LIMIT:
             raise ArithmeticError(
                 f"initial_supersingular_j(p={p}): no CM seed prime below {_SEED_SEARCH_LIMIT}"
@@ -148,7 +146,7 @@ def build_graph(p: int, ell: int, modpoly: ModularPolynomial | None = None,
 
 
 def _build(p, ell, modpoly, modpoly_dir):
-    if not isprime(ell):
+    if not is_prime(ell):
         raise ValueError(f"ell must be prime, got {ell}")
     if p > MAX_GRAPH_PRIME:
         raise ValueError(f"p={p} exceeds the desk-scale cap {MAX_GRAPH_PRIME}")

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
-from isocycles import hilbert, ssgraph
+from isocycles import hilbert, ordercount, ssgraph
 from isocycles.cli import main
 
 
@@ -89,6 +93,17 @@ class TestCountCommand:
 
 
 class TestOrdersCommand:
+    def test_p_past_the_primality_bound_refused_before_any_work(self, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called before the primality-range refusal")
+
+        monkeypatch.setattr(ordercount, "enumerate_orders", forbidden)
+        code, _, err = run(capsys, "orders", "--p", "3317044064679887385961981",
+                           "--ell", "2", "--r", "3")
+        assert code == 2
+        assert err == ("error: --p 3317044064679887385961981 is past the proven "
+                       "primality range: it must be below 3317044064679887385961981\n")
+
     def test_csv(self, capsys, tmp_path):
         out = tmp_path / "o.csv"
         code, stdout, _ = run(capsys, "orders", "--r", "6", "--p", "179",
@@ -207,3 +222,27 @@ class TestDeterminism:
                              "--out", str(path))
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestColdStart:
+    def test_commands_run_without_importing_sympy(self, tmp_path):
+        # sympy costs about 0.35 s and 30 MB at import; the program needs none of it
+        script = textwrap.dedent(f"""
+            import sys
+            from isocycles import cli
+            commands = [
+                ["graph", "--p", "1009", "--ell", "2"],
+                ["count", "--p", "613", "--ell", "2", "--r-max", "6", "--method", "both"],
+                ["orders", "--p", "179", "--ell", "2", "--r", "5"],
+                ["bound", "--N", "6", "--ell", "2"],
+                ["locate", "--disc", "-31", "--p", "179", "--ell", "2"],
+            ]
+            for k, argv in enumerate(commands):
+                assert cli.main(argv + ["--out", {str(tmp_path)!r} + f"/{{k}}"]) == 0, argv
+            assert "sympy" not in sys.modules, "sympy was imported"
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hilbert.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

@@ -1,17 +1,25 @@
 import itertools
+import random
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isocycles.ff import (
+    PRIMALITY_BOUND,
     PolyOverFp2,
     PrimeField,
     QuadExtElement,
     _candidates,
     _split_linear,
     _sqrt_fp2,
+    divisors,
+    factor,
+    is_prime,
     kronecker_symbol,
+    mobius,
+    next_prime,
     poly_roots,
 )
 
@@ -62,6 +70,58 @@ class TestKronecker:
             kronecker_symbol(a, p) * kronecker_symbol(b, p)
             == kronecker_symbol(a * b, p)
         )
+
+
+class TestIntegerPrimitives:
+    """Checked against sympy, which the program itself no longer imports."""
+
+    def test_is_prime_below_2e5(self):
+        assert [n for n in range(-5, 2 * 10**5) if is_prime(n)] == list(
+            sympy.primerange(2 * 10**5))
+
+    def test_is_prime_random_below_1e24(self):
+        rng = random.Random(24)
+        for n in (rng.randrange(10**24) for _ in range(20000)):
+            assert is_prime(n) == sympy.isprime(n), n
+
+    @pytest.mark.parametrize("n", [
+        3215031751,                 # psi_4: strong pseudoprime to the bases 2, 3, 5, 7
+        3825123056546413051,        # psi_11: to every prime base up to 31
+        318665857834031151167461,   # psi_12: to every prime base up to 37, so needs 41
+    ])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not sympy.isprime(n)
+        assert not is_prime(n)
+
+    def test_refuses_at_the_bound(self):
+        # psi_13 is composite but a strong pseudoprime to every base used
+        assert not sympy.isprime(PRIMALITY_BOUND)
+        assert is_prime(PRIMALITY_BOUND - 2) == sympy.isprime(PRIMALITY_BOUND - 2)
+        with pytest.raises(ValueError, match="proven only below 3317044064679887385961981"):
+            is_prime(PRIMALITY_BOUND)
+
+    def test_next_prime(self):
+        for n in list(range(-3, 3000)) + [10**12, 10**18]:
+            assert next_prime(n) == sympy.nextprime(n), n
+
+    def test_factor_divisors_mobius_up_to_1e5(self):
+        mu = list(sympy.sieve.mobiusrange(1, 10**5 + 1))
+        for n in range(1, 10**5 + 1):
+            f = factor(n)
+            assert f == sympy.factorint(n) and list(f) == sorted(f), n
+            assert mobius(n) == mu[n - 1], n
+            assert divisors(n) == sympy.divisors(n), n
+
+    def test_factor_divisors_mobius_random_up_to_1e8(self):
+        rng = random.Random(8)
+        for n in [10**8, 99999989] + [rng.randint(1, 10**8) for _ in range(2000)]:
+            assert factor(n) == sympy.factorint(n), n
+            assert divisors(n) == sympy.divisors(n), n
+            assert mobius(n) == int(sympy.mobius(n)), n
+
+    def test_factor_rejects_non_positive(self):
+        with pytest.raises(ValueError, match=r"factor\(n=0\)"):
+            factor(0)
 
 
 class TestPrimeField:

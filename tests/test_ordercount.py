@@ -37,7 +37,7 @@ class TestQSet:
             q_set(3, 2, 2)
 
     def test_budget_cap(self):
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(ValueError, match=r"^q_set\(N=30, p=179, ell=2\): .*cap"):
             q_set(30, 179, 2)
         with pytest.raises(ValueError):
             q_set(41, 179, 2)

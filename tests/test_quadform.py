@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import primefactors
 
+from isocycles import quadform
 from isocycles.ff import kronecker_symbol
 from isocycles.quadform import (
     INERT,
@@ -46,8 +47,16 @@ class TestDiscriminant:
             Discriminant(-5)
 
     def test_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^class_number\(D=-100000004\): "
+                                             r"\|discriminant\| 100000004 exceeds cap"):
             class_number(-(10**8 + 4))
+
+    def test_cap_refused_before_factoring(self, monkeypatch):
+        # trial division is sized for the cap: past it, a prime factor
+        # near 10^20 would take hours to find
+        monkeypatch.setattr(quadform, "factor", None)
+        with pytest.raises(ValueError, match="exceeds cap"):
+            Discriminant(-(10**40 + 3))
 
 
 class TestReduce:
