@@ -1,8 +1,8 @@
 """Command-line front end: build graphs, count cycles both ways, emit reports.
 
 Every command is deterministic; identical inputs produce byte-identical
-outputs.  Exit status 0 iff all requested verdicts pass; --strict also
-fails on ambiguous multiplicity factors.
+outputs.  The payload goes to --out or to stdout; summary lines go to
+stderr.  Exit status 0 iff all requested verdicts pass, 2 on refused input.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import tempfile
 
 from . import hilbert, nbwalk, ordercount, quadform, ssgraph
 from .ff import PRIMALITY_BOUND, is_prime
-from .modpoly import MODPOLY_ENV_VAR, resolve_modular_polynomial
+from .modpoly import MODPOLY_ENV_VAR
 
 MAX_R = 40
 
@@ -27,23 +27,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, p=False, ell=False):
+    def common(sp, p=False, ell=False, graph=False):
         if p:
             sp.add_argument("--p", type=int, required=True, help="characteristic prime")
         if ell:
             sp.add_argument("--ell", type=int, required=True, help="isogeny degree prime")
         sp.add_argument("--out", help="output path (written atomically)")
-        sp.add_argument("--modpoly-dir",
-                        help=f"directory with phi<ell>.txt files (or ${MODPOLY_ENV_VAR})")
-        sp.add_argument("--strict", action="store_true",
-                        help="treat ambiguous multiplicity factors as failure")
+        if graph:
+            sp.add_argument("--modpoly-dir",
+                            help=f"directory with phi<ell>.txt files (or ${MODPOLY_ENV_VAR})")
 
     sp = sub.add_parser("graph", help="build the isogeny graph and export it")
-    common(sp, p=True, ell=True)
+    common(sp, p=True, ell=True, graph=True)
     sp.add_argument("--format", choices=["json", "dot"], default="json")
 
     sp = sub.add_parser("count", help="count isogeny cycles per length")
-    common(sp, p=True, ell=True)
+    common(sp, p=True, ell=True, graph=True)
     sp.add_argument("--r-max", type=int, required=True)
     sp.add_argument("--method", choices=["graph", "orders", "both"], default="both")
 
@@ -57,10 +56,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, required=True)
 
     sp = sub.add_parser("spectral", help="spectral gap and Ramanujan verdict")
-    common(sp, p=True, ell=True)
+    common(sp, p=True, ell=True, graph=True)
 
     sp = sub.add_parser("locate", help="locate an order's cycles in the graph")
-    common(sp, p=True, ell=True)
+    common(sp, p=True, ell=True, graph=True)
     sp.add_argument("--disc", type=int, required=True)
     sp.add_argument("--precision-bits", type=int, default=0,
                     help="minimum working precision for class polynomials")
@@ -108,12 +107,16 @@ def _write(text: str, out_path: str | None):
         raise
 
 
+def _summary(line: str):
+    print(line, file=sys.stderr)
+
+
 def _graph(args):
     g = ssgraph.build_graph(args.p, args.ell, modpoly_dir=args.modpoly_dir)
     expected = ssgraph.vertex_count_formula(args.p)
     text = g.to_dot() if args.format == "dot" else g.to_json()
-    print(f"vertices: {g.vertex_count}  formula: {expected}  "
-          f"census: {'ok' if g.vertex_count == expected else 'MISMATCH'}")
+    _summary(f"vertices: {g.vertex_count}  formula: {expected}  "
+             f"census: {'ok' if g.vertex_count == expected else 'MISMATCH'}")
     return text, g.vertex_count == expected
 
 
@@ -131,26 +134,20 @@ def _count(args):
         directed = table.directed
     rows = []
     ok = True
-    ambiguous = False
     for r in range(3, r_max + 1):
         row = {"r": r}
         if directed is not None:
             row["graph"] = directed[r]
         if args.method in ("orders", "both"):
             oc = ordercount.order_side_cycle_count(r, p, ell)
-            row["orders"] = ordercount._range_json(oc)
-            ambiguous = ambiguous or not oc.exact
+            row["orders"] = oc
             _, c_bound = ordercount.bound_b(r, ell)
             row["c_bound"] = c_bound
-            if not (oc.hi <= c_bound):
-                ok = False
+            ok = ok and oc <= c_bound
             if args.method == "both":
-                match = oc.lo <= row["graph"] <= oc.hi
-                row["match"] = match
-                ok = ok and match
+                row["match"] = oc == row["graph"]
+                ok = ok and row["match"]
         rows.append(row)
-    if ambiguous and args.strict:
-        ok = False
     payload = {"schema": 1, "p": p, "ell": ell, "r_max": r_max,
                "method": args.method, "rows": rows}
     for row in rows:
@@ -161,27 +158,26 @@ def _count(args):
             bits.append(f"orders={row['orders']}")
         if "match" in row:
             bits.append(f"match={row['match']}")
-        print("  ".join(bits))
+        _summary("  ".join(bits))
     return json.dumps(payload, indent=2) + "\n", ok
 
 
 def _orders(args):
     records = ordercount.enumerate_orders(args.r, args.p, args.ell)
-    ambiguous = any(rec.eps.kind == ordercount.AMBIGUOUS for rec in records)
-    print(f"orders with class above ell of order {args.r}: "
-          + ", ".join(str(rec.discriminant.value) for rec in records))
+    _summary(f"orders with class above ell of order {args.r}: "
+             + ", ".join(str(rec.discriminant.value) for rec in records))
     if args.format == "csv":
         text = ordercount.order_records_csv(records)
     else:
         text = json.dumps(ordercount.order_census(args.r, args.p, args.ell), indent=2) + "\n"
-    return text, not (ambiguous and args.strict)
+    return text, True
 
 
 def _bound(args):
     b_n, c_bound = ordercount.bound_b(args.N, args.ell)
     payload = {"schema": 1, "ell": args.ell, "N": args.N,
                "B_N": b_n, "c_N_bound": c_bound}
-    print(f"B_{args.N} = {b_n}  c_bound = {c_bound}")
+    _summary(f"B_{args.N} = {b_n}  c_bound = {c_bound}")
     return json.dumps(payload, indent=2) + "\n", True
 
 
@@ -192,7 +188,7 @@ def _spectral(args):
                "lambda1": lam1, "lambda2": lam2,
                "ramanujan_bound": 2 * (args.ell ** 0.5),
                "ramanujan": verdict}
-    print(f"lambda1={lam1}  lambda2={lam2:.8f}  ramanujan={verdict}")
+    _summary(f"lambda1={lam1}  lambda2={lam2:.8f}  ramanujan={verdict}")
     return json.dumps(payload, indent=2) + "\n", verdict
 
 
@@ -204,7 +200,7 @@ def _locate(args):
                                          min_precision=args.precision_bits)
     rendered = [[str(v) for v in cyc] for cyc in cycles]
     for cyc in rendered:
-        print("cycle: (" + ", ".join(cyc) + ")")
+        _summary("cycle: (" + ", ".join(cyc) + ")")
     payload = {"schema": 1, "p": args.p, "ell": args.ell, "disc": args.disc,
                "cycles": rendered}
     return json.dumps(payload, indent=2) + "\n", True

@@ -3,8 +3,9 @@
 j comes from the eta quotient f = Delta(2 tau) / Delta(tau) as
 (256 f + 1)^3 / f, with Delta from Euler's pentagonal series (Cohen, Alg.
 7.6.1).  The class polynomial is expanded in real arithmetic: j is real at
-the ambiguous forms, and the forms (a, b, c) and (a, -b, c) give conjugate
-j-values, so each pair is one real quadratic factor.  Coefficients are
+the forms that are their own inverse (b = 0, b = a or a = c), and the forms
+(a, b, c) and (a, -b, c) give conjugate j-values, so each pair is one real
+quadratic factor.  Coefficients are
 rounded to integers; the rounding residual must stay below 0.25 or the
 computation retries at doubled precision.  Rims are found by threading the
 mod-p roots into cycles of the isogeny graph by a depth-first search.

@@ -61,29 +61,31 @@ _BLOCK = 128  # columns of S_k held at once
 def _adjacency_rows(graph_or_matrix):
     """Validated adjacency rows {neighbour: multiplicity} and ell."""
     if isinstance(graph_or_matrix, IsogenyGraph):
+        where = f"build_nb_operator(p={graph_or_matrix.p}, ell={graph_or_matrix.ell}): "
         if not graph_or_matrix.regular_flag:
             raise ValueError(
-                "graph has p != 1 mod 12; the operator requires honest "
+                f"{where}graph has p != 1 mod 12; the operator requires honest "
                 "(ell+1)-regular undirected semantics"
             )
         rows = graph_or_matrix.adjacency
     else:
         mat = [list(map(int, row)) for row in graph_or_matrix]
+        where = f"build_nb_operator(n={len(mat)}): "
         if any(len(row) != len(mat) for row in mat):
-            raise ValueError("adjacency matrix must be square")
+            raise ValueError(f"{where}adjacency matrix must be square")
         if any(m < 0 for row in mat for m in row):
-            raise ValueError("multiplicities must be nonnegative")
+            raise ValueError(f"{where}multiplicities must be nonnegative")
         rows = [{j: m for j, m in enumerate(row) if m} for row in mat]
     for u, row in enumerate(rows):
         for v, m in row.items():
             back = rows[v].get(u, 0)
             if back != m:
                 raise ValueError(
-                    f"directed imbalance between vertices {u} and {v}: {m} vs {back}"
+                    f"{where}directed imbalance between vertices {u} and {v}: {m} vs {back}"
                 )
     degrees = {sum(row.values()) for row in rows}
     if len(degrees) != 1:
-        raise ValueError(f"graph is not regular: out-degrees {sorted(degrees)}")
+        raise ValueError(f"{where}graph is not regular: out-degrees {sorted(degrees)}")
     return rows, degrees.pop() - 1
 
 
@@ -157,10 +159,11 @@ def _column_sum_bounds(ell: int, k_max: int) -> list[int]:
 
 def closed_nbw_counts(op: NonBacktrackingOperator, r_max: int) -> list[int]:
     """Traces of operator powers 1..r_max, exact, by the Ihara-Bass recursion."""
-    if r_max < 1:
-        raise ValueError("r_max must be at least 1")
     rows, ell = op.adjacency, op.ell
     n = len(rows)
+    if r_max < 1:
+        raise ValueError(f"closed_nbw_counts(n={n}, ell={ell}, r_max={r_max}): "
+                         "r_max must be at least 1")
     nbr = np.array([[v for v in sorted(row) for _ in range(row[v])] for row in rows],
                    dtype=np.intp).reshape(n, ell + 1)
     loops = sum(row.get(u, 0) for u, row in enumerate(rows))
@@ -210,14 +213,15 @@ def directed_cycle_counts(traces: list[int], r_max: int | None = None) -> dict[i
     """
     if r_max is None:
         r_max = len(traces)
+    where = f"directed_cycle_counts(r_max={r_max}): "
     if r_max > len(traces):
-        raise ValueError("traces shorter than requested r_max")
+        raise ValueError(f"{where}only {len(traces)} traces, shorter than requested")
     out = {}
     for r in range(3, r_max + 1):
         total = sum(mobius(r // d) * traces[d - 1] for d in divisors(r))
         q, rem = divmod(total, r)
         if rem:
-            raise ArithmeticError(f"Mobius inversion not divisible at r={r}: {total}")
+            raise ArithmeticError(f"{where}Mobius inversion not divisible at r={r}: {total}")
         out[r] = q
     return out
 
@@ -227,14 +231,15 @@ def undirected_cycle_counts(directed: dict[int, int], graph: IsogenyGraph) -> di
     loops = graph.total_loops()
     if loops:
         raise ValueError(
-            f"graph has {loops} loops, so barbells may exist and directed "
-            "counts need not halve exactly"
+            f"undirected_cycle_counts(p={graph.p}, ell={graph.ell}): graph has {loops} "
+            "loops, so barbells may exist and directed counts need not halve exactly"
         )
     out = {}
     for r, c in directed.items():
         q, rem = divmod(c, 2)
         if rem:
-            raise ArithmeticError(f"directed count c_{r}={c} is odd in a loop-free graph")
+            raise ArithmeticError(f"undirected_cycle_counts(p={graph.p}, ell={graph.ell}): "
+                                  f"directed count c_{r}={c} is odd in a loop-free graph")
         out[r] = q
     return out
 
@@ -242,7 +247,7 @@ def undirected_cycle_counts(directed: dict[int, int], graph: IsogenyGraph) -> di
 def barbell_upper_bound(graph: IsogenyGraph, r: int) -> int:
     """Bound on closed walks equal to their own reversal; even length only."""
     if r % 2 or r < 2:
-        raise ValueError("barbells have an even number of edges")
+        raise ValueError(f"barbell_upper_bound(r={r}): barbells have an even number of edges")
     if graph.total_loops() < 2:
         return 0
     return graph.vertex_count * (graph.ell + 1) * graph.ell ** ((r - 2) // 2)
@@ -253,14 +258,15 @@ def rw_distribution_distance(graph: IsogenyGraph, subset, t: int):
 
     Returns (max_j |Pr_t(j) - 1/n|, (1/#S) * (2*sqrt(ell)/(ell+1))^t).
     """
+    where = f"rw_distribution_distance(p={graph.p}, ell={graph.ell}, t={t}): "
     if not graph.regular_flag:
-        raise ValueError("random-walk bound requires p = 1 mod 12")
+        raise ValueError(f"{where}random-walk bound requires p = 1 mod 12")
     subset = sorted(set(subset))
     if not subset:
-        raise ValueError("initial subset must be nonempty")
+        raise ValueError(f"{where}initial subset must be nonempty")
     n = graph.vertex_count
     if any(i < 0 or i >= n for i in subset):
-        raise ValueError("subset contains an invalid vertex index")
+        raise ValueError(f"{where}subset contains an invalid vertex index")
     ell = graph.ell
     adj = np.array(graph.multiplicity_matrix(), dtype=object)
     u = np.zeros(n, dtype=object)
@@ -284,14 +290,15 @@ def mixing_steps_bound(graph: IsogenyGraph, subset_size: int = 1) -> int:
 
 def spectral_check(graph: IsogenyGraph, tol: float = 1e-8, max_iter: int = 200000):
     """Largest eigenvalue exactly, second by power iteration, Ramanujan verdict."""
+    where = f"spectral_check(p={graph.p}, ell={graph.ell}): "
     if not graph.regular_flag:
-        raise ValueError("spectral check requires p = 1 mod 12")
+        raise ValueError(f"{where}spectral check requires p = 1 mod 12")
     ell = graph.ell
     adj = np.array(graph.multiplicity_matrix(), dtype=np.float64)
     n = graph.vertex_count
     ones = np.ones(n)
     if not np.array_equal(adj @ ones, (ell + 1) * ones):
-        raise ArithmeticError("graph is not (ell+1)-regular")
+        raise ArithmeticError(f"{where}graph is not (ell+1)-regular")
     lam1 = float(ell + 1)
     x = np.cos(np.arange(n, dtype=np.float64))
     x -= x.mean()

@@ -1,10 +1,10 @@
 """Order-side cycle counting: representation sets, class-number sums with
 multiplicity factors, Mobius inversion, and the explicit upper bound.
 
-Sums are exact rationals.  When the multiplicity factor of an order is
-undeterminable (p ramified, even order, non-square class above ell, more
-than two genera) the result is an interval that taints everything
-downstream rather than a guess.
+Every order Z[phi] <= O <= O_K with p prime to the conductor of O counts
+with its class number times Eichler's factor 1 - (D_K/p): 2 when p is
+inert in K, 1 when p ramifies.  Level sums and cycle counts are therefore
+integers, and c_N is asserted to come out whole.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import quadform
 from .ff import divisors, factor, kronecker_symbol, mobius
@@ -24,32 +24,11 @@ MAX_N = 40
 MAX_ABS_DELTA = 10**8
 EULER_GAMMA = 0.5772156649
 
-EXACT = "exact"
-AMBIGUOUS = "ambiguous"
 
-
-@dataclass(frozen=True)
-class EpsilonValue:
-    """Fibre multiplicity factor, exact rational or an interval of rationals."""
-
+# Not a plain int only because perfbench's tracer reads `.kind` off each `epsilon` result.
+class EpsilonValue(NamedTuple):
     kind: str
-    lo: Fraction
-    hi: Fraction
-
-    @property
-    def value(self) -> Fraction:
-        if self.kind != EXACT:
-            raise ValueError("ambiguous epsilon has no single value")
-        return self.lo
-
-    @staticmethod
-    def exact(v) -> "EpsilonValue":
-        v = Fraction(v)
-        return EpsilonValue(EXACT, v, v)
-
-    @staticmethod
-    def ambiguous(lo, hi) -> "EpsilonValue":
-        return EpsilonValue(AMBIGUOUS, Fraction(lo), Fraction(hi))
+    value: int
 
 
 @dataclass(frozen=True)
@@ -61,49 +40,8 @@ class OrderRecord:
     f: int
     h: int
     g: int
-    eps: EpsilonValue
+    eps: int
     l_order: int
-
-
-class RationalRange:
-    """Closed interval of rationals; collapses to a point when exact."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo, hi=None):
-        self.lo = Fraction(lo)
-        self.hi = self.lo if hi is None else Fraction(hi)
-        if self.hi < self.lo:
-            raise ValueError("interval upside down")
-
-    @property
-    def exact(self) -> bool:
-        return self.lo == self.hi
-
-    @property
-    def value(self) -> Fraction:
-        if not self.exact:
-            raise ValueError(f"interval [{self.lo}, {self.hi}] is not exact")
-        return self.lo
-
-    def __add__(self, other):
-        return RationalRange(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other):
-        return RationalRange(self.lo - other.hi, self.hi - other.lo)
-
-    def __truediv__(self, k: int):
-        return RationalRange(self.lo / k, self.hi / k)
-
-    def __eq__(self, other):
-        if isinstance(other, RationalRange):
-            return self.lo == other.lo and self.hi == other.hi
-        return self.exact and self.lo == other
-
-    def __repr__(self):
-        if self.exact:
-            return f"RationalRange({self.lo})"
-        return f"RationalRange([{self.lo}, {self.hi}])"
 
 
 def _check_level(N: int, p: int, ell: int):
@@ -119,10 +57,11 @@ def _check_level(N: int, p: int, ell: int):
 
 
 def q_set(N: int, p: int, ell: int) -> list[int]:
-    """Traces x of norm-ell^N elements whose orders admit no p-split field.
+    """Traces x of norm-ell^N elements whose fraction field K is not split at p.
 
-    All 0 < x < 2*ell^(N/2) with x nonzero mod ell, x^2 - 4*ell^N a
-    non-residue mod p, and p-adic valuation of x^2 - 4*ell^N at most 1.
+    All 0 < x < 2*ell^(N/2) with x nonzero mod ell and (D_K/p) != 1, read
+    off x^2 - 4*ell^N as its Kronecker symbol at p once every factor p^2 is
+    divided out.
     """
     _check_level(N, p, ell)
     four_n = 4 * ell**N
@@ -131,20 +70,21 @@ def q_set(N: int, p: int, ell: int) -> list[int]:
     while x * x < four_n:
         if x % ell:
             delta = x * x - four_n
+            while delta % (p * p) == 0:
+                delta //= p * p
             if kronecker_symbol(delta, p) != 1:
-                if delta % p != 0 or (delta // p) % p != 0:
-                    out.append(x)
+                out.append(x)
         x += 1
     return out
 
 
-def epsilon(D, ell: int, r: int, p: int) -> EpsilonValue:
-    """Fibre multiplicity factor of one order in the cycle count.
+def epsilon(D, p: int) -> EpsilonValue:
+    """Eichler's multiplicity factor 1 - (D_K/p) of an order prime to p.
 
-    2 when p is inert in the fraction field.  When p ramifies: 1 for odd r
-    or when the class above ell is a square; 1 + r*g/(2h) when exactly two
-    genera force the non-square class into the stabilizer genus; otherwise
-    an interval, since the correct genus is undeterminable from (D, ell, p).
+    An order O of conductor prime to p has h(O) * (1 - (D_K/p)) optimal
+    embeddings into the maximal orders of the quaternion algebra ramified at
+    p and infinity (Eichler; Vignéras 1980, Thm III.5.11; Voight 2021,
+    ch. 30): the factor is 2 when p is inert in K and 1 when p ramifies.
     """
     D = D if isinstance(D, Discriminant) else Discriminant(D)
     if D.conductor % p == 0:
@@ -152,22 +92,7 @@ def epsilon(D, ell: int, r: int, p: int) -> EpsilonValue:
     k = kronecker_symbol(D.fundamental, p)
     if k == 1:
         raise ValueError(f"p={p} splits in the field of discriminant {D.value}")
-    if k == -1:
-        return EpsilonValue.exact(2)
-    # p ramifies
-    if r % 2:
-        return EpsilonValue.exact(1)
-    sigma = quadform.prime_form(D, ell)
-    if sigma is None or quadform.splitting_type(D, ell) != quadform.SPLIT:
-        raise ValueError(f"ell={ell} does not split in discriminant {D.value}")
-    if quadform.is_square_class(D, sigma):
-        return EpsilonValue.exact(1)
-    h = quadform.class_number(D)
-    g = quadform.genus_number(D)
-    hi = 1 + Fraction(r * g, 2 * h)
-    if g == 2:
-        return EpsilonValue.exact(hi)
-    return EpsilonValue.ambiguous(1, hi)
+    return EpsilonValue("exact", 1 - k)
 
 
 def _suborder_conductors(delta: int):
@@ -181,49 +106,40 @@ def _suborder_conductors(delta: int):
 
 @lru_cache(maxsize=None)
 def _records(N: int, p: int, ell: int) -> tuple:
-    """OrderRecords for every (x, admissible conductor divisor) at level N."""
+    """OrderRecords for every (x, conductor divisor) at level N whose order
+    has conductor prime to p."""
     out = []
     for x in q_set(N, p, ell):
         delta_x = x * x - 4 * ell**N
         for f in _suborder_conductors(delta_x):
             disc = Discriminant(delta_x // (f * f))
+            if disc.conductor % p == 0:
+                continue
             h = quadform.class_number(disc)
             g = quadform.genus_number(disc)
             sigma = quadform.prime_form(disc, ell)
             l_order = quadform.form_order(disc, sigma)
-            out.append(OrderRecord(disc, x, f, h, g, epsilon(disc, ell, l_order, p), l_order))
+            out.append(OrderRecord(disc, x, f, h, g, epsilon(disc, p).value, l_order))
     return tuple(out)
 
 
-def q_n(N: int, p: int, ell: int) -> RationalRange:
+def q_n(N: int, p: int, ell: int) -> int:
     """Weighted class-number sum over all orders at level N."""
-    total = RationalRange(0)
-    for rec in _records(N, p, ell):
-        total = total + RationalRange(rec.eps.lo * rec.h, rec.eps.hi * rec.h)
-    return total
+    return sum(rec.eps * rec.h for rec in _records(N, p, ell))
 
 
-def order_side_cycle_count(N: int, p: int, ell: int) -> RationalRange:
+def order_side_cycle_count(N: int, p: int, ell: int) -> int:
     """Directed cycle count by Mobius inversion over the level sums.
 
-    Exact results are asserted to be integers; ambiguity propagates as an
-    interval.
+    The inversion is asserted to divide exactly.
     """
     if N < 3:
         raise ValueError("cycle counts are defined for N >= 3")
-    total = RationalRange(0)
-    for r in divisors(N):
-        q = q_n(N // r, p, ell)
-        if mobius(r) == 1:
-            total = total + q
-        elif mobius(r) == -1:
-            total = total - q
-    result = total / N
-    if result.exact and result.value.denominator != 1:
-        raise ArithmeticError(
-            f"order-side count at N={N} is not an integer: {result.value}"
-        )
-    return result
+    total = sum(mobius(r) * q_n(N // r, p, ell) for r in divisors(N) if mobius(r))
+    count, rem = divmod(total, N)
+    if rem:
+        raise ArithmeticError(f"order-side count at N={N} is not an integer: {total}/{N}")
+    return count
 
 
 def enumerate_orders(r: int, p: int, ell: int) -> list[OrderRecord]:
@@ -261,32 +177,14 @@ def bound_b(N: int, ell: int) -> tuple[float, float]:
 
 
 def order_records_csv(records) -> str:
-    """CSV rows (r, x, f, discriminant, h, g, eps_num, eps_den, ambiguous_flag).
-
-    Ambiguous rows carry the upper interval endpoint with the flag set.
-    """
+    """CSV rows (r, x, f, discriminant, h, g, eps_num, eps_den); eps_den is 1."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["r", "x", "f", "discriminant", "h", "g",
-                     "eps_num", "eps_den", "ambiguous_flag"])
+    writer.writerow(["r", "x", "f", "discriminant", "h", "g", "eps_num", "eps_den"])
     for rec in records:
-        eps = rec.eps.hi
-        writer.writerow([
-            rec.l_order, rec.x, rec.f, rec.discriminant.value, rec.h, rec.g,
-            eps.numerator, eps.denominator, 1 if rec.eps.kind == AMBIGUOUS else 0,
-        ])
+        writer.writerow([rec.l_order, rec.x, rec.f, rec.discriminant.value, rec.h, rec.g,
+                         rec.eps, 1])
     return buf.getvalue()
-
-
-def _range_json(r: RationalRange):
-    if r.exact:
-        v = r.value
-        return int(v) if v.denominator == 1 else [v.numerator, v.denominator]
-    return {
-        "lo": [r.lo.numerator, r.lo.denominator],
-        "hi": [r.hi.numerator, r.hi.denominator],
-        "ambiguous": True,
-    }
 
 
 def order_census(N: int, p: int, ell: int) -> dict:
@@ -298,7 +196,7 @@ def order_census(N: int, p: int, ell: int) -> dict:
         "p": p,
         "ell": ell,
         "N": N,
-        "Q_N": _range_json(q_n(N, p, ell)),
+        "Q_N": q_n(N, p, ell),
         "records": [
             {
                 "x": rec.x,
@@ -306,7 +204,7 @@ def order_census(N: int, p: int, ell: int) -> dict:
                 "discriminant": rec.discriminant.value,
                 "h": rec.h,
                 "g": rec.g,
-                "eps": _range_json(RationalRange(rec.eps.lo, rec.eps.hi)),
+                "eps": rec.eps,
                 "l_order": rec.l_order,
             }
             for rec in records
@@ -315,5 +213,5 @@ def order_census(N: int, p: int, ell: int) -> dict:
         "c_N_bound": c_bound,
     }
     if N >= 3:
-        payload["c_N"] = _range_json(order_side_cycle_count(N, p, ell))
+        payload["c_N"] = order_side_cycle_count(N, p, ell)
     return payload

@@ -219,11 +219,6 @@ def class_number(D) -> int:
     return _class_number(D.value)
 
 
-@lru_cache(maxsize=None)
-def _square_classes(D: int) -> frozenset:
-    return frozenset(compose(f, f) for f in _reduced_forms(D))
-
-
 def genus_number(D) -> int:
     """Number of genera g = 2^(mu - 1) from the assigned characters.
 
@@ -240,12 +235,6 @@ def genus_number(D) -> int:
     if _class_number(D.value) % g:
         raise AssertionError(f"genus number {g} does not divide h({D.value})")
     return g
-
-
-def is_square_class(D, form: BinaryQuadraticForm) -> bool:
-    """Whether the class of the form lies in the subgroup of squares."""
-    D = _as_disc(D)
-    return reduce(form) in _square_classes(D.value)
 
 
 def prime_form(D, q: int) -> BinaryQuadraticForm | None:

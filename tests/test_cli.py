@@ -26,10 +26,11 @@ class TestGraphCommand:
 
     def test_json_output(self, capsys, tmp_path):
         out = tmp_path / "g.json"
-        code, stdout, _ = run(capsys, "graph", "--p", "179", "--ell", "2",
-                              "--format", "json", "--out", str(out))
+        code, stdout, err = run(capsys, "graph", "--p", "179", "--ell", "2",
+                                "--format", "json", "--out", str(out))
         assert code == 0
-        assert "vertices: 16" in stdout and "census: ok" in stdout
+        assert stdout == ""
+        assert "vertices: 16" in err and "census: ok" in err
         payload = json.loads(out.read_text())
         assert len(payload["vertices"]) == 16
 
@@ -73,12 +74,12 @@ class TestCountCommand:
 
     def test_both_methods_match(self, capsys, tmp_path):
         out = tmp_path / "c.json"
-        code, stdout, _ = run(capsys, "count", "--p", "1009", "--ell", "2",
-                              "--r-max", "6", "--method", "both", "--out", str(out))
+        code, _, err = run(capsys, "count", "--p", "1009", "--ell", "2",
+                           "--r-max", "6", "--method", "both", "--out", str(out))
         assert code == 0
         payload = json.loads(out.read_text())
         assert all(row["match"] for row in payload["rows"])
-        assert "match=True" in stdout
+        assert "match=True" in err
 
     def test_graph_method_gate(self, capsys):
         code, _, err = run(capsys, "count", "--p", "179", "--ell", "2",
@@ -106,13 +107,13 @@ class TestOrdersCommand:
 
     def test_csv(self, capsys, tmp_path):
         out = tmp_path / "o.csv"
-        code, stdout, _ = run(capsys, "orders", "--r", "6", "--p", "179",
-                              "--ell", "2", "--out", str(out))
+        code, _, err = run(capsys, "orders", "--r", "6", "--p", "179",
+                           "--ell", "2", "--out", str(out))
         assert code == 0
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 6
         for d in ("-87", "-231", "-247", "-255", "-135"):
-            assert d in stdout
+            assert d in err
 
     def test_json(self, capsys, tmp_path):
         out = tmp_path / "o.json"
@@ -200,17 +201,38 @@ class TestLocateCommand:
         assert code == 2 and "--precision-bits must be within 0..8192" in err
 
 
-class TestStrictFlag:
-    def test_ambiguous_taints_exit_under_strict(self, capsys, tmp_path):
-        # disc -255 at (p, ell) = (5, 2) carries an undeterminable factor
-        args = ["count", "--p", "5", "--ell", "2", "--r-max", "6",
-                "--method", "orders", "--out", str(tmp_path / "c.json")]
-        code, _, _ = run(capsys, *args)
+class TestStdout:
+    @pytest.mark.parametrize("argv", [
+        ["graph", "--p", "179", "--ell", "2"],
+        ["count", "--p", "179", "--ell", "2", "--r-max", "4", "--method", "orders"],
+        ["orders", "--p", "179", "--ell", "2", "--r", "3", "--format", "json"],
+        ["bound", "--N", "6", "--ell", "2"],
+        ["spectral", "--p", "37", "--ell", "2"],
+        ["locate", "--disc", "-31", "--p", "179", "--ell", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_stdout_is_the_json_payload(self, capsys, argv):
+        code, stdout, err = run(capsys, *argv)
         assert code == 0
-        code, _, _ = run(capsys, *args, "--strict")
-        assert code == 1
-        payload = json.loads((tmp_path / "c.json").read_text())
-        assert payload["rows"][-1]["orders"]["ambiguous"] is True
+        assert json.loads(stdout)["schema"] == 1
+        assert err
+
+    def test_orders_csv_on_stdout_starts_with_its_header(self, capsys):
+        code, stdout, err = run(capsys, "orders", "--p", "179", "--ell", "2", "--r", "6")
+        assert code == 0
+        assert stdout.startswith("r,x,f,discriminant,h,g,eps_num,eps_den\n")
+        assert "-255" in err
+
+
+class TestModpolyDir:
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--N", "6", "--ell", "2"],
+        ["orders", "--p", "179", "--ell", "2", "--r", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_refused_where_no_graph_is_built(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--modpoly-dir", "/nonexistent"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --modpoly-dir" in capsys.readouterr().err
 
 
 class TestDeterminism:

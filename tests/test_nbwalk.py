@@ -53,7 +53,8 @@ class TestOperator:
             assert (ds, dt, dk) == (t, s, k)
 
     def test_directed_imbalance_rejected(self):
-        with pytest.raises(ValueError, match="imbalance"):
+        with pytest.raises(ValueError, match=r"^build_nb_operator\(n=2\): directed imbalance "
+                                             r"between vertices 0 and 1: 2 vs 1$"):
             build_nb_operator([[0, 2], [1, 0]])
 
     def test_non_regular_rejected(self):
@@ -61,7 +62,7 @@ class TestOperator:
             build_nb_operator([[0, 1, 1], [1, 0, 0], [1, 0, 2]])
 
     def test_non_regular_flag_graph_rejected(self, g179):
-        with pytest.raises(ValueError, match="1 mod 12"):
+        with pytest.raises(ValueError, match=r"^build_nb_operator\(p=179, ell=2\): .*1 mod 12"):
             build_nb_operator(g179)
 
     def test_loop_halfedge_expansion(self):
@@ -130,8 +131,12 @@ class TestDirectedCounts:
             assert got == dfs_primitive_cycle_counts(op, r_max)
 
     def test_traces_shorter_than_r_max(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^directed_cycle_counts\(r_max=5\): only 3 traces"):
             directed_cycle_counts([0, 0, 6], 5)
+
+    def test_r_max_below_1_names_the_stage(self):
+        with pytest.raises(ValueError, match=r"^closed_nbw_counts\(n=3, ell=1, r_max=0\): "):
+            closed_nbw_counts(build_nb_operator(cycle_matrix(3)), 0)
 
 
 class TestUndirected:
