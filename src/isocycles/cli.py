@@ -16,8 +16,7 @@ import tempfile
 from . import hilbert, nbwalk, ordercount, quadform, ssgraph
 from .ff import PRIMALITY_BOUND, is_prime
 from .modpoly import MODPOLY_ENV_VAR
-
-MAX_R = 40
+from .ordercount import MAX_N
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,11 +80,11 @@ def _validate(args):
     if p is not None and ell is not None and ell >= p:
         raise ValueError(f"need ell < p, got ell={ell}, p={p}")
     r_max = getattr(args, "r_max", None)
-    if r_max is not None and not (1 <= r_max <= MAX_R):
-        raise ValueError(f"--r-max must be within 1..{MAX_R}")
-    n = getattr(args, "N", None)
-    if n is not None and not (3 <= n <= MAX_R):
-        raise ValueError(f"--N must be within 3..{MAX_R}")
+    if r_max is not None and not (1 <= r_max <= MAX_N):
+        raise ValueError(f"--r-max must be within 1..{MAX_N}")
+    for flag, value in (("--r", getattr(args, "r", None)), ("--N", getattr(args, "N", None))):
+        if value is not None and not (3 <= value <= MAX_N):
+            raise ValueError(f"{flag} must be within 3..{MAX_N}")
     bits = getattr(args, "precision_bits", 0)
     if not (0 <= bits <= hilbert.MAX_PRECISION_BITS):
         raise ValueError(f"--precision-bits must be within 0..{hilbert.MAX_PRECISION_BITS}")

@@ -153,9 +153,6 @@ class PrimeField:
     def one(self) -> "QuadExtElement":
         return QuadExtElement(self, 1, 0)
 
-    def sqrt_of_nonresidue(self) -> "QuadExtElement":
-        return QuadExtElement(self, 0, 1)
-
 
 class QuadExtElement:
     """Element a + b*s of F_{p^2} in the fixed basis (1, s)."""
@@ -233,14 +230,8 @@ class QuadExtElement:
         inv = pow(norm, p - 2, p)
         return QuadExtElement(self.field, self.a * inv, -self.b * inv)
 
-    def conjugate(self) -> "QuadExtElement":
-        return QuadExtElement(self.field, self.a, -self.b)
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def in_prime_field(self) -> bool:
-        return self.b == 0
 
     def key(self) -> tuple[int, int]:
         return (self.a, self.b)
@@ -578,34 +569,8 @@ class PolyOverFp2:
     def is_zero(self) -> bool:
         return not self._c
 
-    def coeffs(self) -> list[QuadExtElement]:
-        return [QuadExtElement(self.field, a, b) for a, b in self._c]
-
     def coeff_pairs(self) -> tuple:
         return self._c
-
-    def __call__(self, x: QuadExtElement) -> QuadExtElement:
-        acc = self.field.zero
-        for a, b in reversed(self._c):
-            acc = acc * x + QuadExtElement(self.field, a, b)
-        return acc
-
-    def __mul__(self, other: "PolyOverFp2") -> "PolyOverFp2":
-        if self.field != other.field:
-            raise ValueError("polynomials over different fields")
-        p, n = self.field.p, self.field.non_residue
-        return PolyOverFp2(self.field, _pmul(list(self._c), list(other._c), p, n))
-
-    def __add__(self, other: "PolyOverFp2") -> "PolyOverFp2":
-        if self.field != other.field:
-            raise ValueError("polynomials over different fields")
-        a, b = list(self._c), list(other._c)
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, (c, d) in enumerate(b):
-            out[i] = ((out[i][0] + c) % self.field.p, (out[i][1] + d) % self.field.p)
-        return PolyOverFp2(self.field, out)
 
     def __eq__(self, other):
         return (
@@ -613,9 +578,6 @@ class PolyOverFp2:
             and self.field == other.field
             and self._c == other._c
         )
-
-    def __hash__(self):
-        return hash((self.field.p, self._c))
 
     def __repr__(self):
         return f"PolyOverFp2({self.field.p}, {list(self._c)})"

@@ -77,9 +77,6 @@ class ClassPolynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def to_text(self) -> str:
-        return f"{self.discriminant.value}: " + " ".join(str(c) for c in self.coefficients)
-
 
 def _precision_for(forms, min_precision: int) -> int:
     D = forms[0].discriminant()

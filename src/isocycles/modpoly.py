@@ -74,27 +74,6 @@ class ModularPolynomial:
         if self.coefficients.get((d, 0)) != 1:
             raise ValueError(f"not monic: coefficient of X^{d} must be 1")
 
-    def coefficient(self, i: int, j: int) -> int:
-        if i < j:
-            i, j = j, i
-        return self.coefficients.get((i, j), 0)
-
-    def diagonal(self) -> list[int]:
-        """Integer coefficients of Phi_ell(X, X), lowest degree first."""
-        d = self.level + 1
-        out = [0] * (2 * d + 1)
-        for (i, j), c in self.coefficients.items():
-            out[i + j] += c if i == j else 2 * c
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
-    def to_text(self) -> str:
-        lines = [f"ell={self.level}"]
-        for (i, j) in sorted(self.coefficients, reverse=True):
-            lines.append(f"{i} {j} {self.coefficients[(i, j)]}")
-        return "\n".join(lines) + "\n"
-
     def __repr__(self):
         return f"ModularPolynomial(level={self.level}, {len(self.coefficients)} terms)"
 

@@ -39,15 +39,13 @@ columns, in O(n * block) memory.  Entries stay exact: int64 while the
 column-sum bound b_k = (ell + 1) b_{k-1} + ell b_{k-2} keeps n b_k^2 below
 2^63, Python integers past it.  Mobius inversion of the traces gives the
 primitive directed cycle counts.  Floating point appears only in the
-spectral estimate and the random-walk bound.
+spectral estimate.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -244,50 +242,6 @@ def undirected_cycle_counts(directed: dict[int, int], graph: IsogenyGraph) -> di
     return out
 
 
-def barbell_upper_bound(graph: IsogenyGraph, r: int) -> int:
-    """Bound on closed walks equal to their own reversal; even length only."""
-    if r % 2 or r < 2:
-        raise ValueError(f"barbell_upper_bound(r={r}): barbells have an even number of edges")
-    if graph.total_loops() < 2:
-        return 0
-    return graph.vertex_count * (graph.ell + 1) * graph.ell ** ((r - 2) // 2)
-
-
-def rw_distribution_distance(graph: IsogenyGraph, subset, t: int):
-    """Exact t-step random-walk deviation from uniform, and the spectral bound.
-
-    Returns (max_j |Pr_t(j) - 1/n|, (1/#S) * (2*sqrt(ell)/(ell+1))^t).
-    """
-    where = f"rw_distribution_distance(p={graph.p}, ell={graph.ell}, t={t}): "
-    if not graph.regular_flag:
-        raise ValueError(f"{where}random-walk bound requires p = 1 mod 12")
-    subset = sorted(set(subset))
-    if not subset:
-        raise ValueError(f"{where}initial subset must be nonempty")
-    n = graph.vertex_count
-    if any(i < 0 or i >= n for i in subset):
-        raise ValueError(f"{where}subset contains an invalid vertex index")
-    ell = graph.ell
-    adj = np.array(graph.multiplicity_matrix(), dtype=object)
-    u = np.zeros(n, dtype=object)
-    for i in subset:
-        u[i] = 1
-    for _ in range(t):
-        u = adj @ u
-    denominator = len(subset) * (ell + 1) ** t
-    deviation = max(abs(Fraction(int(x), denominator) - Fraction(1, n)) for x in u)
-    bound = (2 * math.sqrt(ell) / (ell + 1)) ** t / len(subset)
-    return float(deviation), bound
-
-
-def mixing_steps_bound(graph: IsogenyGraph, subset_size: int = 1) -> int:
-    """Steps after which every vertex has positive probability mass."""
-    ell = graph.ell
-    rate = math.log((ell + 1) / (2 * math.sqrt(ell)))
-    t = (math.log(graph.vertex_count) - math.log(subset_size)) / rate
-    return math.floor(t) + 1
-
-
 def spectral_check(graph: IsogenyGraph, tol: float = 1e-8, max_iter: int = 200000):
     """Largest eigenvalue exactly, second by power iteration, Ramanujan verdict."""
     where = f"spectral_check(p={graph.p}, ell={graph.ell}): "
@@ -337,64 +291,3 @@ def count_cycles(graph: IsogenyGraph, r_max: int) -> CycleCountTable:
         undirected = undirected_cycle_counts(directed, graph)
     return CycleCountTable(r_max, tuple(traces), directed, undirected)
 
-
-def cycle_report(graph: IsogenyGraph, r_max: int) -> str:
-    table = count_cycles(graph, r_max)
-    rs = sorted(table.directed)
-    payload = {
-        "schema": 1,
-        "p": graph.p,
-        "ell": graph.ell,
-        "r_max": r_max,
-        "traces": list(table.traces),
-        "directed": [table.directed[r] for r in rs],
-        "undirected": [table.undirected[r] for r in rs] if table.undirected else None,
-        "barbell_bounds": [
-            [r, barbell_upper_bound(graph, r)] for r in range(2, r_max + 1, 2)
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def dfs_primitive_cycle_counts(op: NonBacktrackingOperator, r_max: int) -> dict[int, int]:
-    """Independent oracle: enumerate primitive cyclically non-backtracking
-    closed walks up to rotation by depth-first search over edge sequences.
-
-    A rotation class is counted once, at its lexicographically least
-    rotation.  Intended for small graphs and modest r_max.
-    """
-    succ = op.successors
-    succ_sets = [frozenset(s) for s in succ]
-    counts = {r: 0 for r in range(3, r_max + 1)}
-
-    def dfs(start: int, path: list[int]):
-        depth = len(path)
-        if depth >= 3 and start in succ_sets[path[-1]]:
-            seq = tuple(path)
-            if _is_least_rotation(seq) and _is_primitive(seq):
-                counts[depth] += 1
-        if depth == r_max:
-            return
-        for f in succ[path[-1]]:
-            if f >= start:
-                path.append(f)
-                dfs(start, path)
-                path.pop()
-
-    for start in range(op.dimension):
-        dfs(start, [start])
-    return counts
-
-
-def _is_least_rotation(seq: tuple) -> bool:
-    doubled = seq + seq
-    n = len(seq)
-    return all(seq <= doubled[k:k + n] for k in range(1, n))
-
-
-def _is_primitive(seq: tuple) -> bool:
-    n = len(seq)
-    for period in divisors(n)[:-1]:
-        if all(seq[i] == seq[i % period] for i in range(n)):
-            return False
-    return True

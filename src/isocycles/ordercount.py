@@ -21,7 +21,6 @@ from .ff import divisors, factor, kronecker_symbol, mobius
 from .quadform import Discriminant
 
 MAX_N = 40
-MAX_ABS_DELTA = 10**8
 EULER_GAMMA = 0.5772156649
 
 
@@ -50,9 +49,9 @@ def _check_level(N: int, p: int, ell: int):
         raise ValueError(f"{where}ell and p must be distinct primes")
     if N < 1 or N > MAX_N:
         raise ValueError(f"{where}N must be within 1..{MAX_N}")
-    if 4 * ell**N > MAX_ABS_DELTA:
+    if 4 * ell**N > quadform.MAX_ABS_DISC:
         raise ValueError(
-            f"{where}4*ell^N = {4 * ell**N} exceeds the discriminant cap {MAX_ABS_DELTA}"
+            f"{where}4*ell^N = {4 * ell**N} exceeds the discriminant cap {quadform.MAX_ABS_DISC}"
         )
 
 
@@ -88,10 +87,12 @@ def epsilon(D, p: int) -> EpsilonValue:
     """
     D = D if isinstance(D, Discriminant) else Discriminant(D)
     if D.conductor % p == 0:
-        raise ValueError(f"p={p} divides the conductor of {D.value}")
+        raise ValueError(f"epsilon(D={D.value}, p={p}): p={p} divides the conductor "
+                         f"of {D.value}")
     k = kronecker_symbol(D.fundamental, p)
     if k == 1:
-        raise ValueError(f"p={p} splits in the field of discriminant {D.value}")
+        raise ValueError(f"epsilon(D={D.value}, p={p}): p={p} splits in the field of "
+                         f"discriminant {D.value}")
     return EpsilonValue("exact", 1 - k)
 
 
@@ -133,19 +134,21 @@ def order_side_cycle_count(N: int, p: int, ell: int) -> int:
 
     The inversion is asserted to divide exactly.
     """
+    where = f"order_side_cycle_count(N={N}, p={p}, ell={ell}): "
     if N < 3:
-        raise ValueError("cycle counts are defined for N >= 3")
+        raise ValueError(f"{where}cycle counts are defined for N >= 3")
     total = sum(mobius(r) * q_n(N // r, p, ell) for r in divisors(N) if mobius(r))
     count, rem = divmod(total, N)
     if rem:
-        raise ArithmeticError(f"order-side count at N={N} is not an integer: {total}/{N}")
+        raise ArithmeticError(f"{where}order-side count is not an integer: {total}/{N}")
     return count
 
 
 def enumerate_orders(r: int, p: int, ell: int) -> list[OrderRecord]:
     """Orders whose class above ell has order exactly r, deduplicated."""
     if r < 3:
-        raise ValueError("order enumeration is defined for r >= 3")
+        raise ValueError(f"enumerate_orders(r={r}, p={p}, ell={ell}): "
+                         "order enumeration is defined for r >= 3")
     seen = set()
     out = []
     for rec in _records(r, p, ell):
@@ -168,7 +171,7 @@ def _b_real(x: float, ell: int) -> float:
 def bound_b(N: int, ell: int) -> tuple[float, float]:
     """The explicit upper bound B_N on Q_N, and the derived bound on c_N."""
     if N < 3:
-        raise ValueError("bound requires N >= 3")
+        raise ValueError(f"bound_b(N={N}, ell={ell}): bound requires N >= 3")
     b_n = _b_real(N, ell)
     c_bound = b_n / N + (
         math.exp(EULER_GAMMA) * math.log(math.log(N)) + 7.0 / 3.0 - 1.0 / N

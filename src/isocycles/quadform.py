@@ -80,13 +80,6 @@ class BinaryQuadraticForm:
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
 
-    def inverse(self) -> "BinaryQuadraticForm":
-        return reduce(BinaryQuadraticForm(self.a, -self.b, self.c))
-
-    def is_reduced(self) -> bool:
-        a, b, c = self.a, self.b, self.c
-        return (-a < b <= a <= c) and not (a == c and b < 0)
-
     def __eq__(self, other):
         return (
             isinstance(other, BinaryQuadraticForm)
@@ -95,11 +88,6 @@ class BinaryQuadraticForm:
 
     def __hash__(self):
         return hash((self.a, self.b, self.c))
-
-    def __iter__(self):
-        yield self.a
-        yield self.b
-        yield self.c
 
     def __repr__(self):
         return f"({self.a}, {self.b}, {self.c})"

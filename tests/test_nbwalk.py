@@ -1,22 +1,16 @@
-import json
-
 import numpy as np
 import pytest
 
 from isocycles.nbwalk import (
-    barbell_upper_bound,
     build_nb_operator,
     closed_nbw_counts,
     count_cycles,
-    cycle_report,
-    dfs_primitive_cycle_counts,
     directed_cycle_counts,
-    mixing_steps_bound,
-    rw_distribution_distance,
     spectral_check,
     undirected_cycle_counts,
 )
 from isocycles.ssgraph import build_graph
+from oracles import dfs_primitive_cycle_counts, mixing_steps_bound, rw_distribution_distance
 
 
 def cycle_matrix(n):
@@ -161,29 +155,6 @@ class TestUndirected:
             undirected_cycle_counts(directed, g3229)
 
 
-class TestBarbell:
-    def test_loop_free_graph_has_none(self, g1009):
-        assert barbell_upper_bound(g1009, 4) == 0
-
-    def test_formula_with_loops(self, g3229):
-        # 269 vertices, ell = 3, 4 loops present
-        assert barbell_upper_bound(g3229, 4) == 269 * 4 * 3
-        assert barbell_upper_bound(g3229, 8) == 269 * 4 * 27
-
-    def test_formula_literal_16_3_2(self, g3229):
-        from isocycles.ssgraph import IsogenyGraph
-
-        fake = IsogenyGraph(13, 2, g3229.field, list(range(16)),
-                            [{0: 1} if i < 2 else {} for i in range(16)])
-        fake.adjacency[0] = {0: 1}
-        fake.adjacency[1] = {1: 1}
-        assert barbell_upper_bound(fake, 4) == 16 * 3 * 2
-
-    def test_odd_length_rejected(self, g1009):
-        with pytest.raises(ValueError):
-            barbell_upper_bound(g1009, 3)
-
-
 class TestRandomWalk:
     def test_uniform_start_has_zero_deviation(self, g1009):
         dev, bound = rw_distribution_distance(g1009, range(84), 0)
@@ -232,13 +203,3 @@ class TestSpectral:
         assert verdict
         assert lam2 <= 2 * np.sqrt(3) + 1e-6
 
-
-class TestReport:
-    def test_json_shape(self, g1009):
-        payload = json.loads(cycle_report(g1009, 6))
-        assert payload["schema"] == 1
-        assert payload["p"] == 1009
-        assert len(payload["traces"]) == 6
-        assert payload["directed"] == [4, 4, 8, 10]
-        assert payload["undirected"] == [2, 2, 4, 5]
-        assert payload["barbell_bounds"] == [[2, 0], [4, 0], [6, 0]]

@@ -71,11 +71,11 @@ class TestEpsilon:
         assert epsilon(-420, 5).value == 1
 
     def test_split_p_rejected(self):
-        with pytest.raises(ValueError, match="splits"):
+        with pytest.raises(ValueError, match=r"^epsilon\(D=-31, p=5\): .*splits"):
             epsilon(-31, 5)
 
     def test_conductor_rejected(self):
-        with pytest.raises(ValueError, match="conductor"):
+        with pytest.raises(ValueError, match=r"^epsilon\(D=-135, p=3\): .*conductor"):
             epsilon(-135, 3)
 
     def test_small_levels_force_2(self):
@@ -111,7 +111,8 @@ class TestQn:
                 assert sum(r * s[r] for r in divisors(n)) == q_n(n, p, ell)
 
     def test_n_below_3_rejected_for_cycles(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"^order_side_cycle_count\(N=2, p=179, ell=2\): "):
             order_side_cycle_count(2, 179, 2)
 
 
@@ -153,7 +154,7 @@ class TestEnumerateOrders:
         assert rec.eps * rec.h / 4 == 3
 
     def test_small_r_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^enumerate_orders\(r=2, p=179, ell=2\): "):
             enumerate_orders(2, 179, 2)
 
 
@@ -171,7 +172,7 @@ class TestBound:
             assert order_side_cycle_count(n, 179, 2) <= c_bound
 
     def test_requires_3(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^bound_b\(N=2, ell=2\): "):
             bound_b(2, 2)
 
 
