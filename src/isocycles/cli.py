@@ -193,10 +193,13 @@ def _spectral(args):
 
 def _locate(args):
     with hilbert.locate_stage(args.disc, args.p, args.ell):
-        hilbert.check_root_degree(args.disc)
-    g = ssgraph.build_graph(args.p, args.ell, modpoly_dir=args.modpoly_dir)
+        _, phi = hilbert.check_locate_inputs(args.disc, args.p, args.ell,
+                                             modpoly_dir=args.modpoly_dir)
+    # locate needs only the supersingular vertex set, which does not depend
+    # on ell; the ell = 2 graph is the cheapest build that certifies it
+    g = ssgraph.build_graph(args.p, 2)
     cycles = hilbert.locate_rim_vertices(args.disc, args.p, args.ell, g,
-                                         min_precision=args.precision_bits)
+                                         min_precision=args.precision_bits, modpoly=phi)
     rendered = [[str(v) for v in cyc] for cyc in cycles]
     for cyc in rendered:
         _summary("cycle: (" + ", ".join(cyc) + ")")

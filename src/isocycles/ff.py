@@ -230,9 +230,6 @@ class QuadExtElement:
         inv = pow(norm, p - 2, p)
         return QuadExtElement(self.field, self.a * inv, -self.b * inv)
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
     def key(self) -> tuple[int, int]:
         return (self.a, self.b)
 

@@ -7,8 +7,15 @@ the forms that are their own inverse (b = 0, b = a or a = c), and the forms
 (a, b, c) and (a, -b, c) give conjugate j-values, so each pair is one real
 quadratic factor.  Coefficients are
 rounded to integers; the rounding residual must stay below 0.25 or the
-computation retries at doubled precision.  Rims are found by threading the
-mod-p roots into cycles of the isogeny graph by a depth-first search.
+computation retries at doubled precision.
+
+Rims need no ell-graph.  When p neither divides the conductor of D nor
+splits in its field, Deuring's reduction theorem puts every root of
+H_D mod p among the supersingular j-invariants; dividing H_D mod p
+by (X - v) over that vertex set finds the roots with multiplicity, and a
+remainder other than 1 refutes the premise.  Two roots u, v are adjacent
+when Phi_ell(u, v) = 0, and a bounded depth-first search threads the roots
+into the rim cycles.
 """
 
 from __future__ import annotations
@@ -20,12 +27,20 @@ from functools import lru_cache
 import mpmath as mp
 
 from . import quadform
-from .ff import MAX_ROOT_DEGREE, PolyOverFp2, PrimeField, kronecker_symbol, poly_roots
+# poly_roots is no longer called here, but perfbench's tracer replaces it in
+# every module that imports it, and
+# perfbench/tests/test_perfbench.py::test_tracer_wraps_imported_names_and_restores
+# asserts hilbert.poly_roots is ff.poly_roots.
+from .ff import (MAX_ROOT_DEGREE, PolyOverFp2, PrimeField, _divide_out_root,
+                 kronecker_symbol, poly_roots)
+from .modpoly import (ModularPolynomial, instantiate_pairs, reduce_mod_p,
+                      resolve_modular_polynomial)
 
 MAX_ABS_DISC = 10**5
 MAX_PRECISION_BITS = 8192
 _GUARD_BITS = 48
 _MAX_RETRIES = 3
+THREADING_BUDGET = 10**6
 
 
 def j_evaluate(tau, precision: int = 128):
@@ -169,11 +184,16 @@ def _canonical_cycle(seq: tuple) -> tuple:
     return min(base[k:] + base[:k] for base in (seq, seq[::-1]) for k in range(len(seq)))
 
 
-def check_root_degree(D) -> quadform.Discriminant:
-    """Refuse a discriminant whose class polynomial is over the root-finding cap.
+def check_locate_inputs(D, p: int, ell: int, modpoly: ModularPolynomial | None = None,
+                        modpoly_dir: str | None = None):
+    """Refuse what `locate` cannot do, before any class polynomial or graph.
 
-    The class number comes from the reduced forms, so nothing is spent on
-    the class polynomial or a graph before the refusal.
+    The class number comes from the reduced forms and is checked against the
+    root-finding cap; Phi_ell is resolved (embedded, or from a directory);
+    ell must split in D, so that a class above ell exists; and p must
+    neither divide the conductor nor split in the field, Deuring's
+    conditions for the roots of H_D mod p to be supersingular.  Returns the
+    discriminant and Phi_ell.
     """
     disc = D if isinstance(D, quadform.Discriminant) else quadform.Discriminant(D)
     h = quadform.class_number(disc)
@@ -182,20 +202,37 @@ def check_root_degree(D) -> quadform.Discriminant:
             f"class number h({disc.value}) = {h} exceeds the root-finding "
             f"degree cap {MAX_ROOT_DEGREE}"
         )
-    return disc
+    phi = modpoly if modpoly is not None else resolve_modular_polynomial(ell, modpoly_dir)
+    if phi.level != ell:
+        raise ValueError(f"modular polynomial level {phi.level} != ell {ell}")
+    if quadform.splitting_type(disc, ell) != quadform.SPLIT:
+        raise ValueError(f"{ell} does not split in discriminant {disc.value}")
+    if disc.conductor % p == 0:
+        raise ValueError(f"p={p} divides the conductor of {disc.value}")
+    if kronecker_symbol(disc.fundamental, p) == 1:
+        raise ValueError(
+            f"p={p} splits in the field of discriminant {disc.value}; the "
+            "reductions of its class polynomial roots are not supersingular"
+        )
+    return disc, phi
 
 
-def locate_rim_vertices(D, p: int, ell: int, graph, min_precision: int = 0) -> list[tuple]:
+def locate_rim_vertices(D, p: int, ell: int, graph, min_precision: int = 0,
+                        modpoly: ModularPolynomial | None = None) -> list[tuple]:
     """Thread the mod-p class polynomial roots into cycles of the isogeny graph.
 
-    Roots (with multiplicity) are intersected with the graph's vertices and
-    decomposed into h/r cyclic vertex sequences of length r, where r is the
-    order of the class above ell; consecutive vertices must be adjacent.
-    Output cycles are canonicalized up to rotation and reversal, preferring
-    lexicographically least starting vertices.  Errors name the inputs.
+    `graph` is any graph over F_{p^2} and serves only for its vertex set,
+    the supersingular j-invariants.  H_D mod p is divided by (X - v) for
+    each vertex v in turn and must deflate to 1; the roots (with
+    multiplicity) are then decomposed into h/r cyclic vertex sequences of
+    length r, where r is the order of the class above ell, with consecutive
+    vertices u, v adjacent: Phi_ell(u, v) = 0.  `modpoly` is Phi_ell, the
+    embedded one by default.  Output cycles are canonicalized up to rotation
+    and reversal, preferring lexicographically least starting vertices.
+    Errors name the inputs.
     """
     with locate_stage(D, p, ell):
-        return _thread_rims(D, p, ell, graph, min_precision)
+        return _thread_rims(D, p, ell, graph, min_precision, modpoly)
 
 
 @contextmanager
@@ -209,42 +246,66 @@ def locate_stage(D, p: int, ell: int):
         raise
 
 
-def _thread_rims(D, p, ell, graph, min_precision):
-    disc = check_root_degree(D)
-    if graph.p != p or graph.ell != ell:
-        raise ValueError("graph was built for different (p, ell)")
-    if quadform.splitting_type(disc, ell) != quadform.SPLIT:
-        raise ValueError(f"{ell} does not split in discriminant {disc.value}")
-    if disc.conductor % p == 0:
-        raise ValueError(f"p={p} divides the conductor of {disc.value}")
-    if kronecker_symbol(disc.fundamental, p) == 1:
-        raise ValueError(
-            f"p={p} splits in the field of discriminant {disc.value}; the "
-            "reductions of its class polynomial roots are not supersingular"
-        )
+def _thread_rims(D, p, ell, graph, min_precision, modpoly):
+    disc, phi = check_locate_inputs(D, p, ell, modpoly)
+    if graph.p != p:
+        raise ValueError(f"graph was built for p={graph.p}")
     sigma = quadform.prime_form(disc, ell)
     r = quadform.form_order(disc, sigma)
-    roots = poly_roots(hilbert_mod_p(disc, p, graph.field, min_precision))
+    n = graph.field.non_residue
+
+    # Deuring: every root of H_D mod p is a supersingular j-invariant, so
+    # dividing out the vertices one by one must leave the constant 1.
+    c = list(hilbert_mod_p(disc, p, graph.field, min_precision).coeff_pairs())
     count = {}
-    for v in roots:
-        if v not in graph.vertex_index:
-            raise ValueError(
-                f"root {v} of the class polynomial is not a vertex of the graph; "
-                f"the order of discriminant {disc.value} fails the nonsplit condition"
-            )
-        i = graph.vertex_index[v]
-        count[i] = count.get(i, 0) + 1
-    if len(roots) % r:
-        raise ValueError(f"{len(roots)} roots cannot split into cycles of length {r}")
+    for i, v in enumerate(graph.vertices):
+        while len(c) > 1:
+            quo, rem = _divide_out_root(c, v.key(), p, n)
+            if rem != (0, 0):
+                break
+            count[i] = count.get(i, 0) + 1
+            c = quo
+    if c != [(1, 0)]:
+        raise ValueError(
+            f"H_{disc.value} mod {p} keeps a factor of degree {len(c) - 1} with no "
+            f"supersingular root; the order of discriminant {disc.value} fails the "
+            "nonsplit condition"
+        )
+    total = sum(count.values())
+    if total % r:
+        raise ValueError(f"{total} roots cannot split into cycles of length {r}")
 
     # The search runs on the distinct roots, numbered in vertex order, which
     # is the order of their (a, b) keys since graph.vertices is sorted.
     ids = sorted(count)
-    remaining = [count[i] for i in ids]
-    neighbours = [[k for k, j in enumerate(ids) if graph.adjacency[i].get(j, 0) > 0]
-                  for i in ids]
+    keys = [graph.vertices[i].key() for i in ids]
+    rows = reduce_mod_p(phi, p)
+    neighbours = []
+    for u in keys:
+        f = instantiate_pairs(rows, u, p, n)
+        neighbours.append([k for k, v in enumerate(keys)
+                           if _divide_out_root(f, v, p, n)[1] == (0, 0)])
+    cycles = _thread_cycles([count[i] for i in ids], neighbours, r)
+    if cycles is None:
+        raise ValueError(
+            f"no consistent threading of the roots of H_{disc.value} into "
+            f"{total // r} cycles of length {r}"
+        )
+    return [tuple(graph.vertices[ids[k]] for k in cyc)
+            for cyc in sorted(_canonical_cycle(c) for c in cycles)]
+
+
+def _thread_cycles(multiplicities: list[int], neighbours: list[list[int]], r: int):
+    """Split a multiset of roots into closed walks of length r, or None.
+
+    Root k occurs multiplicities[k] times; neighbours[k] lists the roots
+    adjacent to k in increasing order.  The depth-first search makes at
+    most THREADING_BUDGET extension steps and raises past them.
+    """
+    remaining = list(multiplicities)
     cycles: list[tuple] = []
     failed = set()  # multiplicity vectors from which no threading exists
+    steps = 0
 
     def solve():
         state = tuple(remaining)
@@ -263,6 +324,13 @@ def _thread_rims(D, p, ell, graph, min_precision):
         return False
 
     def extend_and_recurse(path):
+        nonlocal steps
+        steps += 1
+        if steps > THREADING_BUDGET:
+            raise ArithmeticError(
+                f"threading {sum(multiplicities)} roots into cycles of length {r} "
+                f"exceeded the search budget of {THREADING_BUDGET} steps"
+            )
         if len(path) == r:
             if path[0] not in neighbours[path[-1]]:
                 return False
@@ -282,10 +350,4 @@ def _thread_rims(D, p, ell, graph, min_precision):
             remaining[k] += 1
         return False
 
-    if not solve():
-        raise ValueError(
-            f"no consistent threading of the roots of H_{disc.value} into "
-            f"{len(roots) // r} cycles of length {r}"
-        )
-    return [tuple(graph.vertices[ids[k]] for k in cyc)
-            for cyc in sorted(_canonical_cycle(c) for c in cycles)]
+    return cycles if solve() else None

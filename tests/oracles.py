@@ -1,8 +1,8 @@
 """Reference implementations the tests compare the program against.
 
-None of this runs in an `isocycles` command.  The cycle oracle and the
-random-walk bound are independent routes to quantities the program computes
-another way; the small helpers read graph and polynomial data through the
+None of this runs in an `isocycles` command.  The cycle oracle, the
+random-walk bound and the ell-graph rim route are independent routes to
+quantities the program computes another way; the small helpers read graph and polynomial data through the
 program's plain attributes and F_{p^2} element arithmetic.
 """
 
@@ -13,7 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from isocycles.ff import PolyOverFp2
+from isocycles import hilbert, quadform
+from isocycles.ff import PolyOverFp2, poly_roots
 
 
 def dfs_primitive_cycle_counts(op, r_max: int) -> dict[int, int]:
@@ -61,6 +62,27 @@ def _is_primitive(seq: tuple) -> bool:
         if all(seq[i] == seq[i % period] for i in range(n)):
             return False
     return True
+
+
+def rims_on_ell_graph(D: int, graph) -> list[tuple]:
+    """`locate_rim_vertices` by the route that builds the ell-graph.
+
+    The roots of H_D mod p come from the general splitting, and membership
+    and adjacency from `graph`, built by `build_graph(p, ell)`.  Only the
+    threading search and the canonical form are the program's.
+    """
+    disc = quadform.Discriminant(D)
+    r = quadform.form_order(disc, quadform.prime_form(disc, graph.ell))
+    count = {}
+    for v in poly_roots(hilbert.hilbert_mod_p(D, graph.p, graph.field)):
+        i = graph.vertex_index[v]
+        count[i] = count.get(i, 0) + 1
+    ids = sorted(count)
+    neighbours = [[k for k, j in enumerate(ids) if graph.adjacency[i].get(j, 0) > 0]
+                  for i in ids]
+    cycles = hilbert._thread_cycles([count[i] for i in ids], neighbours, r)
+    return [tuple(graph.vertices[ids[k]] for k in cyc)
+            for cyc in sorted(hilbert._canonical_cycle(c) for c in cycles)]
 
 
 def rw_distribution_distance(graph, subset, t: int):

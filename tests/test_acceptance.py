@@ -260,7 +260,7 @@ def test_criterion_11_property_suites(g1009):
     brute = sorted(
         F.elem(a, b)
         for a, b in itertools.product(range(41), repeat=2)
-        if poly_eval(f, F.elem(a, b)).is_zero()
+        if poly_eval(f, F.elem(a, b)).key() == (0, 0)
     )
     ok = ok and sorted(set(poly_roots(f))) == brute
     # C_n trace oracle

@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
 from isocycles import hilbert, ordercount, ssgraph
 from isocycles.cli import main
+from oracles import rims_on_ell_graph
 
 
 def run(capsys, *argv):
@@ -189,6 +191,63 @@ class TestLocateCommand:
         assert code == 2
         assert "h(-7831) = 66 exceeds the root-finding degree cap 64" in err
         assert err.startswith("error: locate_rim_vertices(D=-7831, p=3361, ell=2): ")
+
+    @pytest.mark.parametrize("p,ell,disc,message", [
+        (10009, 3, -20, "p=10009 splits in the field of discriminant -20"),
+        (179, 2, -3, "2 does not split in discriminant -3"),
+        (13, 2, -1183, "p=13 divides the conductor of -1183"),
+        (179, 5, -31, "level 5 is not embedded and no modular polynomial directory given"),
+    ])
+    def test_input_refusals_before_any_work(self, capsys, monkeypatch, p, ell, disc, message):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called before the refusal")
+
+        monkeypatch.delenv("ISOCYCLES_MODPOLY_DIR", raising=False)
+
+        monkeypatch.setattr(ssgraph, "build_graph", forbidden)
+        monkeypatch.setattr(hilbert, "_class_poly_cached", forbidden)
+        code, _, err = run(capsys, "locate", "--disc", str(disc), "--p", str(p),
+                           "--ell", str(ell))
+        assert code == 2
+        assert err.startswith(f"error: locate_rim_vertices(D={disc}, p={p}, ell={ell}): "
+                              f"{message}")
+
+    def test_ell_3_needs_neither_the_ell_graph_nor_root_splitting(self, capsys, monkeypatch,
+                                                                   tmp_path):
+        # the ell = 2 graph supplies the vertices, deflation the roots and
+        # Phi_3(u, v) = 0 the adjacency
+        (rec, *_) = ordercount.enumerate_orders(4, 179, 3)
+        D = rec.discriminant.value
+        expected = [[str(v) for v in cyc]
+                    for cyc in rims_on_ell_graph(D, ssgraph.build_graph(179, 3))]
+        build = ssgraph.build_graph
+
+        def ell_2_only(p, ell, **kwargs):
+            if ell != 2:
+                raise AssertionError(f"built the ell = {ell} graph")
+            return build(p, ell, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("general root splitting called")
+
+        monkeypatch.setattr(ssgraph, "build_graph", ell_2_only)
+        monkeypatch.setattr(hilbert, "poly_roots", forbidden)
+        out = tmp_path / "l.json"
+        code, _, _ = run(capsys, "locate", "--disc", str(D), "--p", "179", "--ell", "3",
+                         "--out", str(out))
+        assert code == 0
+        assert json.loads(out.read_text())["cycles"] == expected
+
+    def test_threading_search_is_bounded(self, capsys):
+        # h(-8648) = 56 roots at (179, 3), 15 distinct with multiplicities
+        # 2..6, into cycles of length 7: the search used to run forever
+        start = time.monotonic()
+        code, _, err = run(capsys, "locate", "--disc", "-8648", "--p", "179", "--ell", "3")
+        assert code == 2
+        assert err == ("error: locate_rim_vertices(D=-8648, p=179, ell=3): threading 56 "
+                       "roots into cycles of length 7 exceeded the search budget of "
+                       f"{hilbert.THREADING_BUDGET} steps\n")
+        assert time.monotonic() - start < 60
 
     def test_precision_bits_leave_later_calls_at_default(self, capsys, monkeypatch):
         # the flag reaches the one locate call it was given and nothing after

@@ -181,7 +181,7 @@ class TestQuadExt:
         a = data.draw(st.integers(0, p - 1))
         b = data.draw(st.integers(0, p - 1))
         x = F.elem(a, b)
-        if x.is_zero():
+        if x.key() == (0, 0):
             return
         assert x * x.inverse() == F.one
 
@@ -270,7 +270,7 @@ class TestPolyRoots:
         brute = set()
         for a, b in itertools.product(range(p), repeat=2):
             x = F.elem(a, b)
-            if poly_eval(f, x).is_zero():
+            if poly_eval(f, x).key() == (0, 0):
                 brute.add(x)
         assert set(roots) == brute
         assert len(roots) <= deg
@@ -283,7 +283,7 @@ class TestPolyRoots:
         brute = {
             F.elem(a, b)
             for a, b in itertools.product(range(p), repeat=2)
-            if poly_eval(f, F.elem(a, b)).is_zero()
+            if poly_eval(f, F.elem(a, b)).key() == (0, 0)
         }
         assert set(roots) == brute
 

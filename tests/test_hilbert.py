@@ -13,6 +13,8 @@ from isocycles.hilbert import (
 )
 from isocycles.ordercount import enumerate_orders
 from isocycles.quadform import class_number, reduced_forms
+from isocycles.ssgraph import build_graph
+from oracles import rims_on_ell_graph
 
 SINGLETON_CLASS_POLYS = {
     -3: (0, 1),
@@ -63,6 +65,10 @@ def e4_delta_class_poly(D):
     assert residual < 0.25, (D, residual)
     return rounded
 
+
+# orders listed at their own level in the ell-graph comparison, 117 in all
+CORPUS_ORDERS = {(179, 3): 49, (613, 3): 13, (1009, 3): 12, (3361, 2): 11,
+                 (13, 2): 5, (37, 3): 27}
 
 # locate_rim_vertices at (179, 2) for the two orders with the largest class
 # number, 45, listed at level 9: each cycle as its vertex labels
@@ -281,6 +287,50 @@ class TestLocate:
         with pytest.raises(ValueError, match=r"^locate_rim_vertices\(D=-23, p=179, ell=2\): "
                            r".*splits in the field"):
             locate_rim_vertices(-23, 179, 2, g179)
-        with pytest.raises(ValueError, match=r"^locate_rim_vertices\(D=-31, p=179, ell=3\): "
-                           r"graph was built for different"):
-            locate_rim_vertices(-31, 179, 3, g179)
+        with pytest.raises(ValueError, match=r"^locate_rim_vertices\(D=-31, p=181, ell=2\): "
+                           r"graph was built for p=179$"):
+            locate_rim_vertices(-31, 181, 2, g179)
+
+    @pytest.mark.parametrize("p,ell,levels", [
+        (179, 3, range(3, 7)), (613, 3, range(3, 5)), (1009, 3, range(3, 5)),
+        (3361, 2, range(3, 7)), (13, 2, range(3, 6)), (37, 3, range(3, 6)),
+    ])
+    def test_matches_ell_graph_route(self, p, ell, levels):
+        # roots by deflation over the ell = 2 vertex set and adjacency from
+        # Phi_ell(u, v) = 0 give the cycles of the general splitting on the
+        # ell-graph, for every order listed at its own level
+        vertex_set = build_graph(p, 2)
+        ell_graph = build_graph(p, ell)
+        seen = 0
+        for r in levels:
+            for rec in enumerate_orders(r, p, ell):
+                if rec.l_order != r:
+                    continue
+                D = rec.discriminant.value
+                assert (locate_rim_vertices(D, p, ell, vertex_set)
+                        == rims_on_ell_graph(D, ell_graph)), D
+                seen += 1
+        assert seen == CORPUS_ORDERS[(p, ell)]
+
+    def test_changed_coefficient_fails_the_split_certificate(self, g179, monkeypatch):
+        # H_{-47} mod 179 deflates to 1 over the 16 supersingular j; moving
+        # any one coefficient by 1 leaves a factor without supersingular roots
+        true_poly = hilbert_class_poly(-47)
+        for k in range(true_poly.degree):
+            coeffs = list(true_poly.coefficients)
+            coeffs[k] += 1
+            mutant = hilbert.ClassPolynomial(true_poly.discriminant, tuple(coeffs))
+            monkeypatch.setattr(hilbert, "hilbert_class_poly", lambda D, mp=0: mutant)
+            with pytest.raises(ValueError, match=r"^locate_rim_vertices\(D=-47, p=179, ell=2\): "
+                               r"H_-47 mod 179 keeps a factor of degree \d+ .*"
+                               r"fails the nonsplit condition$"):
+                locate_rim_vertices(-47, 179, 2, g179)
+
+    def test_threading_stops_at_its_budget(self, g179, monkeypatch):
+        # -1967 needs 30489 extension steps at (179, 2), the most in the corpus
+        locate_rim_vertices(-1967, 179, 2, g179)
+        monkeypatch.setattr(hilbert, "THREADING_BUDGET", 30000)
+        with pytest.raises(ArithmeticError, match=r"^locate_rim_vertices\(D=-1967, p=179, "
+                           r"ell=2\): threading 36 roots into cycles of length 9 exceeded "
+                           r"the search budget of 30000 steps$"):
+            locate_rim_vertices(-1967, 179, 2, g179)

@@ -26,7 +26,7 @@ def _add(P, Q, a):
         return Q if P is None else P
     (x1, y1), (x2, y2) = P, Q
     if x1 == x2:
-        if (y1 + y2).is_zero():
+        if (y1 + y2).key() == (0, 0):
             return None
         lam = (3 * x1 * x1 + a) / (2 * y1)
     else:
