@@ -119,18 +119,20 @@ def _graph(args):
     return text, g.vertex_count == expected
 
 
+def _require_graph_side(what: str, p: int):
+    """Refuse, before the graph is built, a p the graph side does not cover."""
+    if p % 12 != 1:
+        raise ValueError(f"{what} needs p = 1 mod 12 (extra-automorphism gate); "
+                         f"p={p} is {p % 12} mod 12")
+
+
 def _count(args):
     p, ell, r_max = args.p, args.ell, args.r_max
-    if args.method in ("graph", "both") and p % 12 != 1:
-        raise ValueError(
-            f"graph-side counting needs p = 1 mod 12 (extra-automorphism gate); "
-            f"p={p} is {p % 12} mod 12"
-        )
     directed = None
     if args.method in ("graph", "both"):
+        _require_graph_side("graph-side counting", p)
         g = ssgraph.build_graph(p, ell, modpoly_dir=args.modpoly_dir)
-        table = nbwalk.count_cycles(g, r_max)
-        directed = table.directed
+        directed = nbwalk.count_cycles(g, r_max)
     rows = []
     ok = True
     for r in range(3, r_max + 1):
@@ -181,6 +183,7 @@ def _bound(args):
 
 
 def _spectral(args):
+    _require_graph_side("the spectral check", args.p)
     g = ssgraph.build_graph(args.p, args.ell, modpoly_dir=args.modpoly_dir)
     lam1, lam2, verdict = nbwalk.spectral_check(g)
     payload = {"schema": 1, "p": args.p, "ell": args.ell,

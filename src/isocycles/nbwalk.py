@@ -34,18 +34,18 @@ S_a S_b = S_{a+b} + ell^min(a, b) S_|a-b| and, A being symmetric,
     tr S_2k = |S_k|^2 - 2n ell^k,    tr S_2k+1 = <S_k, S_k+1> - ell^k tr A,
 
 so traces up to r_max need the recursion only up to k = ceil(r_max / 2).
-A is applied as an n x (ell + 1) neighbour-index array to blocks of
-columns, in O(n * block) memory.  Entries stay exact: int64 while the
-column-sum bound b_k = (ell + 1) b_{k-1} + ell b_{k-2} keeps n b_k^2 below
-2^63, Python integers past it.  Mobius inversion of the traces gives the
-primitive directed cycle counts.  Floating point appears only in the
-spectral estimate.
+Neither B nor A is formed: A is applied as an n x (ell + 1)
+neighbour-index array, to blocks of columns in O(n * block) memory here
+and to one vector in the spectral estimate.  Entries stay exact: int64
+while the column-sum bound b_k = (ell + 1) b_{k-1} + ell b_{k-2} keeps
+n b_k^2 below 2^63, Python integers past it.  Mobius inversion of the
+traces gives the primitive directed cycle counts.  Floating point appears
+only in the spectral estimate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,97 +54,39 @@ from .ssgraph import IsogenyGraph
 
 _INT64_MAX = 2**63 - 1
 _BLOCK = 128  # columns of S_k held at once
-
-
-def _adjacency_rows(graph_or_matrix):
-    """Validated adjacency rows {neighbour: multiplicity} and ell."""
-    if isinstance(graph_or_matrix, IsogenyGraph):
-        where = f"build_nb_operator(p={graph_or_matrix.p}, ell={graph_or_matrix.ell}): "
-        if not graph_or_matrix.regular_flag:
-            raise ValueError(
-                f"{where}graph has p != 1 mod 12; the operator requires honest "
-                "(ell+1)-regular undirected semantics"
-            )
-        rows = graph_or_matrix.adjacency
-    else:
-        mat = [list(map(int, row)) for row in graph_or_matrix]
-        where = f"build_nb_operator(n={len(mat)}): "
-        if any(len(row) != len(mat) for row in mat):
-            raise ValueError(f"{where}adjacency matrix must be square")
-        if any(m < 0 for row in mat for m in row):
-            raise ValueError(f"{where}multiplicities must be nonnegative")
-        rows = [{j: m for j, m in enumerate(row) if m} for row in mat]
-    for u, row in enumerate(rows):
-        for v, m in row.items():
-            back = rows[v].get(u, 0)
-            if back != m:
-                raise ValueError(
-                    f"{where}directed imbalance between vertices {u} and {v}: {m} vs {back}"
-                )
-    degrees = {sum(row.values()) for row in rows}
-    if len(degrees) != 1:
-        raise ValueError(f"{where}graph is not regular: out-degrees {sorted(degrees)}")
-    return rows, degrees.pop() - 1
+_POWER_ITERATIONS = 200000
+_POWER_TOL = 1e-8  # stop when successive norms agree this closely
 
 
 class NonBacktrackingOperator:
-    """Sparse operator on directed edges: continue without traversing the dual.
+    """The operator B of a graph, held as the graph data its traces read."""
 
-    `successors[e]` lists the directed edges B lets e continue into;
-    `adjacency` and `ell` are the graph data the trace recursion reads.
-    """
+    __slots__ = ("adjacency", "ell")
 
-    __slots__ = ("directed_edges", "dual", "successors", "adjacency", "ell")
-
-    def __init__(self, directed_edges, dual, successors, adjacency, ell):
-        self.directed_edges = directed_edges
-        self.dual = dual
-        self.successors = successors
+    def __init__(self, adjacency, ell):
         self.adjacency = adjacency
         self.ell = ell
 
     @property
     def dimension(self) -> int:
-        return len(self.directed_edges)
+        return len(self.adjacency) * (self.ell + 1)
 
 
-def build_nb_operator(graph_or_matrix) -> NonBacktrackingOperator:
-    """Expand multiplicities into directed edges with a fixed dual pairing.
+def build_nb_operator(graph: IsogenyGraph) -> NonBacktrackingOperator:
+    """B on a p = 1 mod 12 graph, whose adjacency `build_graph` certifies
+    symmetric and (ell + 1)-regular."""
+    if not graph.regular_flag:
+        raise ValueError(
+            f"build_nb_operator(p={graph.p}, ell={graph.ell}): graph has p != 1 mod 12; "
+            "the operator requires honest (ell+1)-regular undirected semantics"
+        )
+    return NonBacktrackingOperator(graph.adjacency, graph.ell)
 
-    Copies of a multiplicity-m undirected edge are dual-paired by copy
-    index.  Loop copies pair up two at a time; an unpaired loop copy is a
-    half-loop, one directed edge that is its own dual.
-    """
-    rows, ell = _adjacency_rows(graph_or_matrix)
-    edges = []
-    dual = []
-    for u, row in enumerate(rows):
-        for v in sorted(row):
-            if v <= u:
-                continue
-            for k in range(row[v]):
-                e = len(edges)
-                edges.append((u, v, k))
-                edges.append((v, u, k))
-                dual.extend([e + 1, e])
-        c = row.get(u, 0)
-        for i in range(c // 2):
-            e = len(edges)
-            edges.append((u, u, 2 * i))
-            edges.append((u, u, 2 * i + 1))
-            dual.extend([e + 1, e])
-        if c % 2:
-            dual.append(len(edges))
-            edges.append((u, u, c - 1))
 
-    out_by_source = [[] for _ in rows]
-    for idx, (s, _, _) in enumerate(edges):
-        out_by_source[s].append(idx)
-    successors = tuple(
-        tuple(f for f in out_by_source[t] if f != d)
-        for (_, t, _), d in zip(edges, dual)
-    )
-    return NonBacktrackingOperator(tuple(edges), tuple(dual), successors, rows, ell)
+def _neighbour_array(adjacency, ell: int) -> np.ndarray:
+    """n x (ell + 1) neighbour indices, each repeated by its multiplicity."""
+    return np.array([[v for v in sorted(row) for _ in range(row[v])] for row in adjacency],
+                    dtype=np.intp).reshape(len(adjacency), ell + 1)
 
 
 def _column_sum_bounds(ell: int, k_max: int) -> list[int]:
@@ -157,15 +99,14 @@ def _column_sum_bounds(ell: int, k_max: int) -> list[int]:
 
 def closed_nbw_counts(op: NonBacktrackingOperator, r_max: int) -> list[int]:
     """Traces of operator powers 1..r_max, exact, by the Ihara-Bass recursion."""
-    rows, ell = op.adjacency, op.ell
-    n = len(rows)
+    n, ell = len(op.adjacency), op.ell
     if r_max < 1:
         raise ValueError(f"closed_nbw_counts(n={n}, ell={ell}, r_max={r_max}): "
                          "r_max must be at least 1")
-    nbr = np.array([[v for v in sorted(row) for _ in range(row[v])] for row in rows],
-                   dtype=np.intp).reshape(n, ell + 1)
-    loops = sum(row.get(u, 0) for u, row in enumerate(rows))
-    half_loops = sum(row.get(u, 0) % 2 for u, row in enumerate(rows))
+    nbr = _neighbour_array(op.adjacency, ell)
+    loops_at = (nbr == np.arange(n)[:, None]).sum(axis=1)
+    loops = int(loops_at.sum())
+    half_loops = int((loops_at % 2).sum())
     k_max = (r_max + 1) // 2
     bounds = _column_sum_bounds(ell, k_max)
 
@@ -203,91 +144,54 @@ def closed_nbw_counts(op: NonBacktrackingOperator, r_max: int) -> list[int]:
     return traces
 
 
-def directed_cycle_counts(traces: list[int], r_max: int | None = None) -> dict[int, int]:
-    """Primitive directed cycle counts for r >= 3 by Mobius inversion.
+def directed_cycle_counts(traces: list[int]) -> dict[int, int]:
+    """Primitive directed cycle counts for 3 <= r <= len(traces) by Mobius inversion.
 
     c_r = (1/r) sum over d | r of mu(r/d) t_d; divisibility is asserted,
     a non-exact division signals a graph or operator bug.
     """
-    if r_max is None:
-        r_max = len(traces)
-    where = f"directed_cycle_counts(r_max={r_max}): "
-    if r_max > len(traces):
-        raise ValueError(f"{where}only {len(traces)} traces, shorter than requested")
     out = {}
-    for r in range(3, r_max + 1):
+    for r in range(3, len(traces) + 1):
         total = sum(mobius(r // d) * traces[d - 1] for d in divisors(r))
         q, rem = divmod(total, r)
         if rem:
-            raise ArithmeticError(f"{where}Mobius inversion not divisible at r={r}: {total}")
+            raise ArithmeticError(f"directed_cycle_counts(r_max={len(traces)}): "
+                                  f"Mobius inversion not divisible at r={r}: {total}")
         out[r] = q
     return out
 
 
-def undirected_cycle_counts(directed: dict[int, int], graph: IsogenyGraph) -> dict[int, int]:
-    """Exact halving of directed counts; refused when the graph has loops."""
-    loops = graph.total_loops()
-    if loops:
-        raise ValueError(
-            f"undirected_cycle_counts(p={graph.p}, ell={graph.ell}): graph has {loops} "
-            "loops, so barbells may exist and directed counts need not halve exactly"
-        )
-    out = {}
-    for r, c in directed.items():
-        q, rem = divmod(c, 2)
-        if rem:
-            raise ArithmeticError(f"undirected_cycle_counts(p={graph.p}, ell={graph.ell}): "
-                                  f"directed count c_{r}={c} is odd in a loop-free graph")
-        out[r] = q
-    return out
+def spectral_check(graph: IsogenyGraph):
+    """Largest eigenvalue exactly, second by power iteration, Ramanujan verdict.
 
-
-def spectral_check(graph: IsogenyGraph, tol: float = 1e-8, max_iter: int = 200000):
-    """Largest eigenvalue exactly, second by power iteration, Ramanujan verdict."""
-    where = f"spectral_check(p={graph.p}, ell={graph.ell}): "
+    A is applied through the neighbour array, so no n x n matrix is formed.
+    A single vertex has no eigenvalue on 1-perp; lambda2 is then 0.
+    """
     if not graph.regular_flag:
-        raise ValueError(f"{where}spectral check requires p = 1 mod 12")
+        raise ValueError(f"spectral_check(p={graph.p}, ell={graph.ell}): "
+                         "spectral check requires p = 1 mod 12")
     ell = graph.ell
-    adj = np.array(graph.multiplicity_matrix(), dtype=np.float64)
-    n = graph.vertex_count
-    ones = np.ones(n)
-    if not np.array_equal(adj @ ones, (ell + 1) * ones):
-        raise ArithmeticError(f"{where}graph is not (ell+1)-regular")
+    nbr = _neighbour_array(graph.adjacency, ell)
+    n = len(nbr)
     lam1 = float(ell + 1)
-    x = np.cos(np.arange(n, dtype=np.float64))
-    x -= x.mean()
-    x /= np.linalg.norm(x)
     estimate = 0.0
-    for _ in range(max_iter):
-        y = adj @ x
-        y -= y.mean()
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            estimate = 0.0
-            break
-        if abs(norm - estimate) < tol:
+    if n > 1:
+        x = np.cos(np.arange(n, dtype=np.float64))
+        x -= x.mean()
+        x /= np.linalg.norm(x)
+        for _ in range(_POWER_ITERATIONS):
+            y = x[nbr].sum(axis=1)
+            y -= y.mean()
+            norm = float(np.linalg.norm(y))
+            if norm == 0.0 or abs(norm - estimate) < _POWER_TOL:
+                estimate = norm
+                break
             estimate = norm
-            break
-        estimate = norm
-        x = y / norm
+            x = y / norm
     verdict = estimate <= 2 * math.sqrt(ell) + 1e-6
     return lam1, estimate, verdict
 
 
-@dataclass(frozen=True)
-class CycleCountTable:
-    r_max: int
-    traces: tuple
-    directed: dict
-    undirected: dict | None
-
-
-def count_cycles(graph: IsogenyGraph, r_max: int) -> CycleCountTable:
-    op = build_nb_operator(graph)
-    traces = closed_nbw_counts(op, r_max)
-    directed = directed_cycle_counts(traces, r_max)
-    undirected = None
-    if graph.total_loops() == 0:
-        undirected = undirected_cycle_counts(directed, graph)
-    return CycleCountTable(r_max, tuple(traces), directed, undirected)
-
+def count_cycles(graph: IsogenyGraph, r_max: int) -> dict[int, int]:
+    """Primitive directed cycle counts c_3..c_r_max of a p = 1 mod 12 graph."""
+    return directed_cycle_counts(closed_nbw_counts(build_nb_operator(graph), r_max))

@@ -80,17 +80,6 @@ class IsogenyGraph:
     def out_degree(self, i: int) -> int:
         return sum(self.adjacency[i].values())
 
-    def total_loops(self) -> int:
-        return sum(self.adjacency[i].get(i, 0) for i in range(len(self.vertices)))
-
-    def multiplicity_matrix(self) -> list[list[int]]:
-        n = len(self.vertices)
-        mat = [[0] * n for _ in range(n)]
-        for i, row in enumerate(self.adjacency):
-            for j, m in row.items():
-                mat[i][j] = m
-        return mat
-
     def label(self, i: int) -> str:
         v = self.vertices[i]
         return f"{v.a}+{v.b}*s"

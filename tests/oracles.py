@@ -1,9 +1,11 @@
 """Reference implementations the tests compare the program against.
 
-None of this runs in an `isocycles` command.  The cycle oracle, the
-random-walk bound and the ell-graph rim route are independent routes to
-quantities the program computes another way; the small helpers read graph and polynomial data through the
-program's plain attributes and F_{p^2} element arithmetic.
+None of this runs in an `isocycles` command.  The cycle oracle on the
+directed-edge expansion, the dense-matrix random-walk bound and power
+iteration, and the ell-graph rim route are independent routes to
+quantities the program computes another way; the small helpers read graph
+and polynomial data through the program's plain attributes and F_{p^2}
+element arithmetic.
 """
 
 from __future__ import annotations
@@ -15,19 +17,108 @@ import numpy as np
 
 from isocycles import hilbert, quadform
 from isocycles.ff import PolyOverFp2, poly_roots
+from isocycles.nbwalk import NonBacktrackingOperator
 
 
-def dfs_primitive_cycle_counts(op, r_max: int) -> dict[int, int]:
+def multiplicity_matrix(graph) -> list[list[int]]:
+    """The n x n adjacency matrix of `graph`: entry (i, j) is the
+    multiplicity of j among the roots of Phi_ell(X, v_i)."""
+    n = graph.vertex_count
+    mat = [[0] * n for _ in range(n)]
+    for i, row in enumerate(graph.adjacency):
+        for j, m in row.items():
+            mat[i][j] = m
+    return mat
+
+
+def dense_second_eigenvalue(graph) -> float:
+    """`spectral_check`'s power iteration for lambda2 on the dense float matrix."""
+    adj = np.array(multiplicity_matrix(graph), dtype=np.float64)
+    x = np.cos(np.arange(graph.vertex_count, dtype=np.float64))
+    x -= x.mean()
+    x /= np.linalg.norm(x)
+    estimate = 0.0
+    for _ in range(200000):
+        y = adj @ x
+        y -= y.mean()
+        norm = float(np.linalg.norm(y))
+        if norm == 0.0 or abs(norm - estimate) < 1e-8:
+            return norm
+        estimate = norm
+        x = y / norm
+    return estimate
+
+
+def adjacency_rows(mat) -> list[dict[int, int]]:
+    """Rows {neighbour: multiplicity} of a symmetric, regular multiplicity
+    matrix, the form `IsogenyGraph.adjacency` takes."""
+    rows = [{j: int(m) for j, m in enumerate(row) if m} for row in mat]
+    for u, row in enumerate(rows):
+        for v, m in row.items():
+            back = rows[v].get(u, 0)
+            if back != m:
+                raise ValueError(f"directed imbalance between vertices {u} and {v}: "
+                                 f"{m} vs {back}")
+    degrees = {sum(row.values()) for row in rows}
+    if len(degrees) != 1:
+        raise ValueError(f"matrix is not regular: out-degrees {sorted(degrees)}")
+    return rows
+
+
+def matrix_operator(mat) -> NonBacktrackingOperator:
+    """The program's operator on a symmetric (ell + 1)-regular multiplicity matrix."""
+    rows = adjacency_rows(mat)
+    return NonBacktrackingOperator(rows, sum(rows[0].values()) - 1)
+
+
+def expand_edges(adjacency):
+    """Directed edges, their duals and their successors under B.
+
+    `adjacency` is a list of rows {neighbour: multiplicity}.  Copies of a
+    multiplicity-m undirected edge are dual-paired by copy index.  Loop
+    copies pair up two at a time; an unpaired loop copy is a half-loop, one
+    directed edge (u, u, k) that is its own dual.  `successors[e]` lists the
+    edges leaving the target of e other than the dual of e.
+    """
+    edges = []
+    dual = []
+    for u, row in enumerate(adjacency):
+        for v in sorted(row):
+            if v <= u:
+                continue
+            for k in range(row[v]):
+                e = len(edges)
+                edges.append((u, v, k))
+                edges.append((v, u, k))
+                dual.extend([e + 1, e])
+        c = row.get(u, 0)
+        for i in range(c // 2):
+            e = len(edges)
+            edges.append((u, u, 2 * i))
+            edges.append((u, u, 2 * i + 1))
+            dual.extend([e + 1, e])
+        if c % 2:
+            dual.append(len(edges))
+            edges.append((u, u, c - 1))
+    out_by_source = [[] for _ in adjacency]
+    for idx, (s, _, _) in enumerate(edges):
+        out_by_source[s].append(idx)
+    successors = [[f for f in out_by_source[t] if f != d]
+                  for (_, t, _), d in zip(edges, dual)]
+    return edges, dual, successors
+
+
+def dfs_primitive_cycle_counts(adjacency, r_max: int) -> dict[int, int]:
     """Independent oracle: enumerate primitive cyclically non-backtracking
     closed walks up to rotation by depth-first search over edge sequences.
 
-    It shares only `build_nb_operator`'s edge expansion (the directed edges,
-    their duals and successor lists) with the program, not the Ihara-Bass
-    trace recursion or the Mobius inversion.  A rotation class is counted
-    once, at its lexicographically least rotation.  Intended for small
-    graphs and modest r_max.
+    It expands `adjacency` (rows {neighbour: multiplicity}) into directed
+    edges itself with `expand_edges`, and shares no code with the program's
+    Ihara-Bass trace recursion or Mobius inversion.  A rotation class is
+    counted once, at its lexicographically least rotation.  Intended for
+    small graphs and modest r_max.
     """
-    succ = op.successors
+    _, _, succ = expand_edges(adjacency)
     succ_sets = [frozenset(s) for s in succ]
     counts = {r: 0 for r in range(3, r_max + 1)}
 
@@ -45,7 +136,7 @@ def dfs_primitive_cycle_counts(op, r_max: int) -> dict[int, int]:
                 dfs(start, path)
                 path.pop()
 
-    for start in range(op.dimension):
+    for start in range(len(succ)):
         dfs(start, [start])
     return counts
 
@@ -100,7 +191,7 @@ def rw_distribution_distance(graph, subset, t: int):
     if any(i < 0 or i >= n for i in subset):
         raise ValueError(f"{where}subset contains an invalid vertex index")
     ell = graph.ell
-    adj = np.array(graph.multiplicity_matrix(), dtype=object)
+    adj = np.array(multiplicity_matrix(graph), dtype=object)
     u = np.zeros(n, dtype=object)
     for i in subset:
         u[i] = 1

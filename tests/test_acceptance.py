@@ -38,7 +38,14 @@ from isocycles.quadform import (
     reduced_forms,
 )
 from isocycles.ssgraph import build_graph, vertex_count_formula
-from oracles import dfs_primitive_cycle_counts, loop_count, poly_eval, rw_distribution_distance
+from oracles import (
+    dfs_primitive_cycle_counts,
+    expand_edges,
+    loop_count,
+    matrix_operator,
+    poly_eval,
+    rw_distribution_distance,
+)
 
 
 def report(criterion, ok, detail):
@@ -94,7 +101,7 @@ def graph_counts(g1009, g3361, g3229):
     for g in (g1009, g3361, g3229):
         op = build_nb_operator(g)
         traces = closed_nbw_counts(op, 14 if g.ell == 2 else 10)
-        out[(g.p, g.ell)] = directed_cycle_counts(traces, len(traces))
+        out[(g.p, g.ell)] = directed_cycle_counts(traces)
     return out
 
 
@@ -247,9 +254,10 @@ def test_criterion_11_property_suites(g1009):
     # Mobius exact division and dual involution on the 1009 operator
     op = build_nb_operator(g1009)
     traces = closed_nbw_counts(op, 8)
-    counts = directed_cycle_counts(traces, 8)  # raises if division inexact
-    ok = ok and counts == dfs_primitive_cycle_counts(op, 8)
-    ok = ok and all(op.dual[op.dual[e2]] == e2 for e2 in range(op.dimension))
+    counts = directed_cycle_counts(traces)  # raises if division inexact
+    ok = ok and counts == dfs_primitive_cycle_counts(g1009.adjacency, 8)
+    _, dual, _ = expand_edges(g1009.adjacency)
+    ok = ok and all(dual[dual[e2]] == e2 for e2 in range(len(dual)))
     # poly_roots vs exhaustive evaluation over a small field
     import itertools
 
@@ -269,7 +277,7 @@ def test_criterion_11_property_suites(g1009):
         for k in range(n):
             mat[k][(k + 1) % n] += 1
             mat[(k + 1) % n][k] += 1
-        tr = closed_nbw_counts(build_nb_operator(mat), 24)
+        tr = closed_nbw_counts(matrix_operator(mat), 24)
         ok = ok and tr == [2 * n if r % n == 0 else 0 for r in range(1, 25)]
     assert report(11, ok, "group axioms, reduce idempotence, Mobius exactness, "
                   "root finding vs exhaustive scan, dual involution, C_n traces")

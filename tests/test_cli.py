@@ -163,6 +163,31 @@ class TestSpectralCommand:
         assert payload["ramanujan"] is True
         assert payload["lambda2"] <= payload["ramanujan_bound"] + 1e-6
 
+    @pytest.mark.parametrize("ell", ["2", "3"])
+    def test_one_vertex_graph(self, capsys, ell):
+        # p = 13 has one vertex and no eigenvalue on 1-perp
+        code, stdout, _ = run(capsys, "spectral", "--p", "13", "--ell", ell)
+        assert code == 0
+        payload = json.loads(stdout)
+        assert payload["lambda2"] == 0.0
+        assert payload["ramanujan"] is True
+
+    @pytest.mark.parametrize("argv,message", [
+        (["spectral"], "the spectral check needs p = 1 mod 12 (extra-automorphism gate); "
+                       "p=179 is 11 mod 12"),
+        (["count", "--r-max", "4", "--method", "graph"],
+         "graph-side counting needs p = 1 mod 12 (extra-automorphism gate); p=179 is 11 mod 12"),
+    ], ids=["spectral", "count"])
+    def test_p_not_1_mod_12_refused_before_any_work(self, capsys, monkeypatch, argv, message):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("built the graph before the refusal")
+
+        monkeypatch.setattr(ssgraph, "build_graph", forbidden)
+        code, stdout, err = run(capsys, argv[0], "--p", "179", "--ell", "2", *argv[1:])
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: {message}\n"
+
 
 class TestLocateCommand:
     def test_minus_31(self, capsys, tmp_path):

@@ -209,14 +209,14 @@ class TestReports:
         for p, ell, r_max in ((433, 2, 8), (601, 2, 8), (373, 3, 6)):
             g = build_graph(p, ell)
             op = build_nb_operator(g)
-            counts = directed_cycle_counts(closed_nbw_counts(op, r_max), r_max)
+            counts = directed_cycle_counts(closed_nbw_counts(op, r_max))
             for r in range(3, r_max + 1):
                 assert order_side_cycle_count(r, p, ell) == counts[r], (p, ell, r)
 
 
 @lru_cache(maxsize=None)
 def _graph_side(p, ell):
-    return count_cycles(build_graph(p, ell), 10).directed
+    return count_cycles(build_graph(p, ell), 10)
 
 
 @pytest.mark.parametrize("p, ell, r", [

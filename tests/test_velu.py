@@ -15,9 +15,10 @@ import random
 import pytest
 
 from isocycles.ff import PolyOverFp2, poly_roots
-from isocycles.nbwalk import build_nb_operator, closed_nbw_counts, directed_cycle_counts
+from isocycles.nbwalk import closed_nbw_counts, directed_cycle_counts
 from isocycles.ordercount import order_side_cycle_count
 from isocycles.ssgraph import build_graph
+from oracles import matrix_operator
 
 
 def _add(P, Q, a):
@@ -121,8 +122,7 @@ def test_velu_graph_side_equals_order_side(p, ell):
     expected = VELU_COUNTS[(p, ell)]
     r_max = 2 + len(expected)
     _, mat = velu_adjacency(p, ell)
-    traces = closed_nbw_counts(build_nb_operator(mat), r_max)
-    graph = directed_cycle_counts(traces, r_max)
+    graph = directed_cycle_counts(closed_nbw_counts(matrix_operator(mat), r_max))
     orders = {r: order_side_cycle_count(r, p, ell) for r in range(3, r_max + 1)}
     assert [graph[r] for r in range(3, r_max + 1)] == expected
     assert orders == graph
