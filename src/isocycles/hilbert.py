@@ -1,12 +1,24 @@
 """Hilbert class polynomials from complex CM points, reduction mod p, rim location.
 
-j comes from the eta quotient f = Delta(2 tau) / Delta(tau) as
-(256 f + 1)^3 / f, with Delta from Euler's pentagonal series (Cohen, Alg.
-7.6.1).  The class polynomial is expanded in real arithmetic: j is real at
-the forms that are their own inverse (b = 0, b = a or a = c), and the forms
+Class polynomials are computed in fixed point on Python ints: a real x is
+held as the integer x 2^P (floored), a complex number as a pair of them, at
+P = precision + _GUARD_BITS fractional bits.  The precision is
+pi sqrt|D| sum 1/a / ln 2 + 64 bits over the reduced forms (a, b, c): the
+first term bounds the bits of the largest coefficient of H_D.  For each
+form, w = 1/q = exp(pi sqrt|D| / a + i pi b / a) is built from pi (Machin),
+sqrt|D| (math.isqrt) and exp(t + i theta) = 2^k exp(r + i theta), so w has a
+relative error near 2^-P however large it is (about 2^1433 for the
+principal form at |D| near 10^5).  j comes from the eta quotient f = Delta(2 tau) / Delta(tau) = q R,
+R = (P(q^2) / P(q))^24, with P from Euler's pentagonal series (Cohen, Alg.
+7.6.1), as j = (w / R) (1 + 256 q R)^3: where |q| < 2^-P, q floors to 0 but
+j = w / R keeps its relative error near 2^-P.  The guard bits absorb the
+floorings of the series and of the expansion, a few units each.
+
+The class polynomial is expanded in real arithmetic: j is real at the
+forms that are their own inverse (b = 0, b = a or a = c), and the forms
 (a, b, c) and (a, -b, c) give conjugate j-values, so each pair is one real
-quadratic factor.  Coefficients are
-rounded to integers; the rounding residual must stay below 0.25 or the
+quadratic factor.  Coefficients are rounded to integers; the rounding
+residual, and |Im j| at the real j, must stay below 0.25 or the
 computation retries at doubled precision.
 
 Rims need no ell-graph.  When p neither divides the conductor of D nor
@@ -20,11 +32,10 @@ into the rim cycles.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-
-import mpmath as mp
 
 from . import quadform
 # poly_roots is no longer called here, but perfbench's tracer replaces it in
@@ -43,42 +54,133 @@ _MAX_RETRIES = 3
 THREADING_BUDGET = 10**6
 
 
-def j_evaluate(tau, precision: int = 128):
-    """Klein j-invariant at tau (upper half plane) as an mpmath complex.
+def _inverse_series(x: int, bits: int, alternating: bool) -> int:
+    """2^bits * sum_k s_k / ((2k + 1) x^(2k + 1)), s_k = (-1)^k or 1: atan or atanh of 1/x.
 
-    Uses j = (256 f + 1)^3 / f with the eta quotient
-    f = Delta(2 tau) / Delta(tau) = q (P(q^2) / P(q))^24, P(q) = prod (1 - q^n)
-    (Cohen, Alg. 7.6.1).  P comes from Euler's pentagonal series, truncated
-    once its tail drops below 2^-precision.
+    Each term is floored from a non-negative power of 1/x, so the loop ends
+    when that power reaches 0, with an error below one unit per term.
+    """
+    power = (1 << bits) // x
+    total, k, x2 = power, 1, x * x
+    while power:
+        power //= x2
+        term = power // (2 * k + 1)
+        total += -term if alternating and k % 2 else term
+        k += 1
+    return total
+
+
+@lru_cache(maxsize=8)
+def _constants(bits: int) -> tuple[int, int]:
+    """pi (Machin) and ln 2 = 2 atanh(1/3), times 2^bits, within 2 units."""
+    extra = bits + 24
+    pi = 4 * (4 * _inverse_series(5, extra, True) - _inverse_series(239, extra, True))
+    ln2 = 2 * _inverse_series(3, extra, False)
+    return pi >> 24, ln2 >> 24
+
+
+def _mul(x, y, bits: int):
+    (a, b), (c, d) = x, y
+    return (a * c - b * d) >> bits, (a * d + b * c) >> bits
+
+
+def _div(x, y, bits: int):
+    (a, b), (c, d) = x, y
+    n = c * c + d * d
+    return ((a * c + b * d) << bits) // n, ((b * c - a * d) << bits) // n
+
+
+def _inverse_nome(form, bits: int):
+    """w = 1/q = exp(pi sqrt|D| / a + i pi b / a) at the root of `form`, at `bits`.
+
+    With t = pi sqrt|D| / a = k ln 2 + r and theta = pi b / a reduced into
+    (-pi, pi], w = 2^k exp(z) for z = r + i theta, |z| < 4.  exp(z) is the
+    Taylor series at z / 2^s squared s times; the squarings lose s bits and
+    k ln 2 up to 12, so this runs at bits + s + 40 and w keeps a relative
+    error near 2^-bits however large it is.
+    """
+    a, D = form.a, form.discriminant()
+    s = math.isqrt(bits) + 2
+    work = bits + s + 40
+    pi, ln2 = _constants(work)
+    t = (pi * math.isqrt(-D << 2 * work) >> work) // a
+    k = t // ln2
+    m = form.b % (2 * a)
+    if m > a:
+        m -= 2 * a
+    z = ((t - k * ln2) >> s, pi * m // a >> s)
+    # |z| < 2^(2 - s) makes term n below 2^(n (2 - s)), so the count is fixed
+    total = term = (1 << work, 0)
+    for n in range(1, -(-work // (s - 2)) + 1):
+        re, im = _mul(term, z, work)
+        term = (re // n, im // n)
+        total = (total[0] + term[0], total[1] + term[1])
+    for _ in range(s):
+        re, im = total
+        total = ((re + im) * (re - im) >> work, 2 * re * im >> work)
+    shift = work - bits - k
+    if shift >= 0:
+        return total[0] >> shift, total[1] >> shift
+    return total[0] << -shift, total[1] << -shift
+
+
+def _pentagonal_length(form, bits: int) -> tuple[int, float]:
+    """The pairs n = 1..N of Euler's pentagonal series that P(q) needs, and E.
+
+    With |q| = exp(-lam), lam = pi sqrt|D| / a, the terms q^e for e >= E sum
+    to at most |q|^E / (1 - |q|), which is 2^-bits for
+    E = (bits ln 2 - ln(1 - |q|)) / lam; N is the last n with
+    n (3n - 1) / 2 < E.  The count is fixed before the loop from this float
+    bound: fixed-point terms of either sign floor to -1, not 0, so a loop
+    that waits for a term to vanish need not end.
+    """
+    lam = math.pi * math.sqrt(-form.discriminant()) / form.a
+    e_max = (bits * math.log(2) - math.log(-math.expm1(-lam))) / lam
+    return int((1 + math.sqrt(1 + 24 * e_max)) / 6), e_max
+
+
+def j_evaluate(form, precision: int = 128):
+    """Klein j at the root tau = (-b + i sqrt|D|) / 2a of `form`, as fixed point.
+
+    Returns (re, im) with j = (re + i im) / 2^(precision + _GUARD_BITS).
+    With f = Delta(2 tau) / Delta(tau) = q R, R = (P(q^2) / P(q))^24,
+    P(q) = prod (1 - q^n) from Euler's pentagonal series (Cohen, Alg.
+    7.6.1), j = (256 f + 1)^3 / f = (w / R) (1 + 256 q R)^3 with w = 1/q:
+    dividing the large w by R, which is near 1, keeps j's relative error
+    near 2^-bits even where q itself is below 2^-bits and rounds to 0.
     """
     if precision > MAX_PRECISION_BITS:
         raise ValueError(f"precision {precision} exceeds cap {MAX_PRECISION_BITS}")
-    with mp.workprec(precision + _GUARD_BITS):
-        tau = mp.mpc(tau)
-        if mp.im(tau) <= 0:
-            raise ValueError("tau must have positive imaginary part")
-        q = mp.expjpi(2 * tau)
-        absq = abs(q)
-        # the terms q^e with e >= e_max sum to less than 2^-(precision + 16) / 24
-        e_max = (((precision + 16) * mp.ln(2) + mp.ln(24) - mp.ln(1 - absq))
-                 / -mp.ln(absq))
-        # P(q) = 1 + sum_{n >= 1} (-1)^n (q^(n(3n-1)/2) + q^(n(3n+1)/2));
-        # P(q^2) sums the squares of the same terms
-        p1 = p2 = mp.mpc(1)
-        lo, qn, q_odd, q2 = q, q, q**3, q * q  # q^(n(3n-1)/2), q^n, q^(2n+1)
-        n, e_lo, sign = 1, 1, -1
-        while e_lo < e_max:
-            hi = lo * qn
-            p1 += sign * (lo + hi)
-            if 2 * e_lo < e_max:
-                p2 += sign * (lo * lo + hi * hi)
-            lo = hi * q_odd
-            qn *= q
-            q_odd *= q2
-            n, sign = n + 1, -sign
-            e_lo = n * (3 * n - 1) // 2
-        f = q * (p2 / p1) ** 24
-        return (256 * f + 1) ** 3 / f
+    bits = precision + _GUARD_BITS
+    one = 1 << bits
+    w = _inverse_nome(form, bits)
+    norm = w[0] * w[0] + w[1] * w[1]
+    q = (w[0] << 2 * bits) // norm, (-w[1] << 2 * bits) // norm
+    # P(q) = 1 + sum_{n >= 1} (-1)^n (q^(n(3n-1)/2) + q^(n(3n+1)/2));
+    # P(q^2) sums the squares of the same terms
+    n_terms, e_max = _pentagonal_length(form, bits)
+    p1 = p2 = (one, 0)
+    q2 = _mul(q, q, bits)
+    lo, qn, q_odd = q, q, _mul(q2, q, bits)  # q^(n(3n-1)/2), q^n, q^(2n+1)
+    sign = -1
+    for n in range(1, n_terms + 1):
+        hi = _mul(lo, qn, bits)
+        p1 = (p1[0] + sign * (lo[0] + hi[0]), p1[1] + sign * (lo[1] + hi[1]))
+        if n * (3 * n - 1) < e_max:
+            lo2, hi2 = _mul(lo, lo, bits), _mul(hi, hi, bits)
+            p2 = (p2[0] + sign * (lo2[0] + hi2[0]), p2[1] + sign * (lo2[1] + hi2[1]))
+        lo = _mul(hi, q_odd, bits)
+        qn = _mul(qn, q, bits)
+        q_odd = _mul(q_odd, q2, bits)
+        sign = -sign
+    r = _div(p2, p1, bits)
+    r8 = _mul(r, r, bits)
+    r8 = _mul(r8, r8, bits)
+    r8 = _mul(r8, r8, bits)
+    r24 = _mul(r8, _mul(r8, r8, bits), bits)
+    f = _mul(q, r24, bits)
+    u = (one + 256 * f[0], 256 * f[1])
+    return _mul(_div(w, r24, bits), _mul(_mul(u, u, bits), u, bits), bits)
 
 
 @dataclass(frozen=True)
@@ -95,8 +197,8 @@ class ClassPolynomial:
 
 def _precision_for(forms, min_precision: int) -> int:
     D = forms[0].discriminant()
-    height = mp.pi * mp.sqrt(-D) * mp.fsum(mp.mpf(1) / f.a for f in forms)
-    return max(int(mp.ceil(height / mp.ln(2))) + 64, min_precision)
+    height = math.pi * math.sqrt(-D) * math.fsum(1 / f.a for f in forms)
+    return max(math.ceil(height / math.log(2)) + 64, min_precision)
 
 
 def _expand_at(forms, D, precision):
@@ -105,34 +207,37 @@ def _expand_at(forms, D, precision):
     Only the forms with b >= 0 are evaluated.  Where b = 0, a = b or a = c,
     j is real; every other (a, b, c) also stands for (a, -b, c), whose j is
     the complex conjugate, so the pair gives X^2 - 2 Re(j) X + |j|^2.  The
-    expansion is real; the residual also takes |Im j| at the real j.
+    expansion is real, in fixed point at precision + _GUARD_BITS fractional
+    bits; the residual also takes |Im j| at the real j.  D is the
+    discriminant of `forms`.
     """
-    with mp.workprec(precision + _GUARD_BITS):
-        sqrt_d = mp.sqrt(-D)
-        coeffs = [mp.mpf(1)]
-        residual = mp.mpf(0)
-        for f in forms:
-            if f.b < 0:
-                continue
-            j = j_evaluate(mp.mpc(-f.b, sqrt_d) / (2 * f.a), precision)
-            if f.b == 0 or f.b == f.a or f.a == f.c:
-                residual = max(residual, abs(j.imag))
-                factor = (-j.real,)
-            else:
-                factor = (j.real**2 + j.imag**2, -2 * j.real)
-            k = len(factor)
-            nxt = [mp.mpf(0)] * (len(coeffs) + k)
-            for i, c in enumerate(coeffs):
-                nxt[i + k] += c
-                for t, ft in enumerate(factor):
-                    nxt[i + t] += c * ft
-            coeffs = nxt
-        rounded = []
-        for c in coeffs:
-            r = mp.nint(c)
-            residual = max(residual, abs(c - r))
-            rounded.append(int(r))
-        return rounded, float(residual)
+    bits = precision + _GUARD_BITS
+    one = 1 << bits
+    coeffs = [one]
+    residual = 0.0
+    for f in forms:
+        if f.b < 0:
+            continue
+        re, im = j_evaluate(f, precision)
+        if f.b == 0 or f.b == f.a or f.a == f.c:
+            residual = max(residual, abs(im) / one)
+            factor = (-re,)
+        else:
+            factor = ((re * re + im * im) >> bits, -2 * re)
+        k = len(factor)
+        nxt = [0] * (len(coeffs) + k)
+        for i, c in enumerate(coeffs):
+            nxt[i + k] += c
+            for t, ft in enumerate(factor):
+                nxt[i + t] += c * ft >> bits
+        coeffs = nxt
+    half = 1 << (bits - 1)
+    rounded = []
+    for c in coeffs:
+        r = (c + half) >> bits
+        residual = max(residual, abs(c - (r << bits)) / one)
+        rounded.append(r)
+    return rounded, residual
 
 
 @lru_cache(maxsize=None)

@@ -47,8 +47,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .ff import divisors, mobius
 from .ssgraph import IsogenyGraph
 
@@ -83,8 +81,10 @@ def build_nb_operator(graph: IsogenyGraph) -> NonBacktrackingOperator:
     return NonBacktrackingOperator(graph.adjacency, graph.ell)
 
 
-def _neighbour_array(adjacency, ell: int) -> np.ndarray:
+def _neighbour_array(adjacency, ell: int):
     """n x (ell + 1) neighbour indices, each repeated by its multiplicity."""
+    import numpy as np  # here, so that commands without the graph side never load it
+
     return np.array([[v for v in sorted(row) for _ in range(row[v])] for row in adjacency],
                     dtype=np.intp).reshape(len(adjacency), ell + 1)
 
@@ -103,6 +103,8 @@ def closed_nbw_counts(op: NonBacktrackingOperator, r_max: int) -> list[int]:
     if r_max < 1:
         raise ValueError(f"closed_nbw_counts(n={n}, ell={ell}, r_max={r_max}): "
                          "r_max must be at least 1")
+    import numpy as np
+
     nbr = _neighbour_array(op.adjacency, ell)
     loops_at = (nbr == np.arange(n)[:, None]).sum(axis=1)
     loops = int(loops_at.sum())
@@ -170,6 +172,8 @@ def spectral_check(graph: IsogenyGraph):
     if not graph.regular_flag:
         raise ValueError(f"spectral_check(p={graph.p}, ell={graph.ell}): "
                          "spectral check requires p = 1 mod 12")
+    import numpy as np
+
     ell = graph.ell
     nbr = _neighbour_array(graph.adjacency, ell)
     n = len(nbr)

@@ -348,8 +348,9 @@ class TestDeterminism:
 
 class TestColdStart:
     def test_commands_run_without_importing_sympy(self, tmp_path):
-        # sympy costs about 0.35 s and 30 MB at import; the program needs none of it
-        script = textwrap.dedent(f"""
+        # sympy costs about 0.35 s and 30 MB at import, mpmath about 0.02 s;
+        # the program needs neither
+        run_fresh(f"""
             import sys
             from isocycles import cli
             commands = [
@@ -362,9 +363,33 @@ class TestColdStart:
             for k, argv in enumerate(commands):
                 assert cli.main(argv + ["--out", {str(tmp_path)!r} + f"/{{k}}"]) == 0, argv
             assert "sympy" not in sys.modules, "sympy was imported"
+            assert "mpmath" not in sys.modules, "mpmath was imported"
         """)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(hilbert.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+
+    def test_numpy_loads_only_for_graph_side_counts(self, tmp_path):
+        # numpy is imported inside the graph-side counts and the spectral
+        # check, so importing the CLI and running graph, orders, bound and
+        # locate never load it
+        run_fresh(f"""
+            import sys
+            from isocycles import cli
+            assert "numpy" not in sys.modules, "numpy was imported with the CLI"
+            commands = [
+                ["graph", "--p", "1009", "--ell", "2"],
+                ["orders", "--p", "179", "--ell", "2", "--r", "5"],
+                ["bound", "--N", "6", "--ell", "2"],
+                ["locate", "--disc", "-31", "--p", "179", "--ell", "2"],
+            ]
+            for k, argv in enumerate(commands):
+                assert cli.main(argv + ["--out", {str(tmp_path)!r} + f"/{{k}}"]) == 0, argv
+            assert "numpy" not in sys.modules, "numpy was imported"
+        """)
+
+
+def run_fresh(script):
+    """Run a script in a new interpreter that imports the program from src."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hilbert.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

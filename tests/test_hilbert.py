@@ -1,3 +1,4 @@
+import time
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -12,7 +13,7 @@ from isocycles.hilbert import (
     locate_rim_vertices,
 )
 from isocycles.ordercount import enumerate_orders
-from isocycles.quadform import class_number, reduced_forms
+from isocycles.quadform import BinaryQuadraticForm, class_number, reduced_forms
 from isocycles.ssgraph import build_graph
 from oracles import rims_on_ell_graph
 
@@ -66,6 +67,15 @@ def e4_delta_class_poly(D):
     return rounded
 
 
+# the orders the benchmark's rims-locate workload locates: every order listed
+# at its own level at (179, 2, r = 3..9) and (1009, 3, r = 3)
+RIMS_LOCATE_DISCS = [
+    -2039, -1967, -1879, -1687, -1519, -1319, -1087, -975, -959, -943, -855,
+    -823, -799, -735, -679, -663, -583, -527, -511, -503, -487, -367, -295,
+    -287, -255, -247, -231, -199, -183, -151, -135, -107, -104, -95, -92, -87,
+    -83, -59, -47, -44, -39, -31, -23,
+]
+
 # orders listed at their own level in the ell-graph comparison, 117 in all
 CORPUS_ORDERS = {(179, 3): 49, (613, 3): 13, (1009, 3): 12, (3361, 2): 11,
                  (13, 2): 5, (37, 3): 27}
@@ -90,42 +100,105 @@ PINNED_CYCLES_179 = {
 }
 
 
+def as_mpc(z, precision):
+    """A fixed-point j-value from j_evaluate as an mpmath complex."""
+    bits = precision + hilbert._GUARD_BITS
+    return mp.mpc(mp.ldexp(z[0], -bits), mp.ldexp(z[1], -bits))
+
+
+def cm_point(form):
+    """The root (-b + i sqrt|D|) / 2a of the form in the upper half plane."""
+    return mp.mpc(-form.b, mp.sqrt(-form.discriminant())) / (2 * form.a)
+
+
+# reduced and unreduced forms; the unreduced ones put tau off the
+# fundamental domain, and their images below bring Im tau down to 0.33
+CM_FORMS = [(1, 0, 1), (2, 1, 3), (3, 2, 4), (5, 3, 7), (4, 4, 5), (7, 6, 11),
+            (2, 5, 4), (9, 7, 3), (6, -11, 7), (11, 3, 2)]
+
+
 class TestJEvaluate:
     def test_j_of_i_is_1728(self):
-        val = j_evaluate(mp.mpc(0, 1), 128)
-        assert abs(val - 1728) < mp.mpf(2) ** -100
+        with mp.workprec(256):
+            val = as_mpc(j_evaluate(BinaryQuadraticForm(1, 0, 1), 128), 128)
+            assert abs(val - 1728) < mp.mpf(2) ** -100
 
     def test_j_of_zeta3_is_0(self):
-        tau = mp.mpc(0.5, mp.sqrt(3) / 2)
-        assert abs(j_evaluate(tau, 128)) < mp.mpf(2) ** -40
+        with mp.workprec(256):
+            assert abs(as_mpc(j_evaluate(BinaryQuadraticForm(1, 1, 1), 128), 128)) < mp.mpf(2) ** -40
 
     def test_j_of_2i(self):
-        assert abs(j_evaluate(mp.mpc(0, 2), 128) - 66**3) < mp.mpf(2) ** -80
+        with mp.workprec(256):
+            val = as_mpc(j_evaluate(BinaryQuadraticForm(1, 0, 4), 128), 128)
+            assert abs(val - 66**3) < mp.mpf(2) ** -80
 
-    def test_rejects_lower_half_plane(self):
-        with pytest.raises(ValueError):
-            j_evaluate(mp.mpc(0.3, -1), 64)
+    def test_inverse_form_gives_the_conjugate(self):
+        # _expand_at evaluates (a, b, c) for (a, -b, c) too
+        for a, b, c in CM_FORMS:
+            x = j_evaluate(BinaryQuadraticForm(a, b, c), 96)
+            y = j_evaluate(BinaryQuadraticForm(a, -b, c), 96)
+            with mp.workprec(400):
+                x, y = as_mpc(x, 96), as_mpc(y, 96)
+                assert abs(x - mp.conj(y)) < mp.mpf(2) ** -80 * max(1, abs(x)), (a, b, c)
 
     def test_rejects_excessive_precision(self):
         with pytest.raises(ValueError):
-            j_evaluate(mp.mpc(0, 1), 10**5)
+            j_evaluate(BinaryQuadraticForm(1, 0, 1), 10**5)
 
     def test_periodicity_and_modularity(self):
-        # tau -> tau+1 and tau -> -1/tau leave j unchanged; the translated
-        # points themselves must be formed at high precision
-        with mp.workprec(240):
-            for k in range(10):
-                tau = mp.mpc(0.1 * k - 0.4, 0.9 + 0.17 * k)
-                a = j_evaluate(tau, 96)
-                assert abs(a - j_evaluate(tau + 1, 96)) < mp.mpf(2) ** -60
-                assert abs(a - j_evaluate(-1 / tau, 96)) < mp.mpf(2) ** -60
+        # tau -> tau - 1 is the form (a, b + 2a, .) and tau -> -1/tau the
+        # form (c, -b, a); both leave j unchanged
+        for a, b, c in CM_FORMS:
+            form = BinaryQuadraticForm(a, b, c)
+            D = form.discriminant()
+            shifted = BinaryQuadraticForm(a, b + 2 * a, ((b + 2 * a) ** 2 - D) // (4 * a))
+            inverted = BinaryQuadraticForm(c, -b, a)
+            with mp.workprec(400):
+                j = as_mpc(j_evaluate(form, 96), 96)
+                for other in (shifted, inverted):
+                    err = abs(as_mpc(j_evaluate(other, 96), 96) - j)
+                    assert err < mp.mpf(2) ** -80 * max(1, abs(j)), (form, other)
 
     def test_matches_mpmath_kleinj(self):
-        for k in range(5):
-            tau = mp.mpc(0.13 * k - 0.2, 1.05 + 0.31 * k)
-            with mp.workprec(160):
-                expected = 1728 * mp.kleinj(tau)
-            assert abs(j_evaluate(tau, 120) - expected) < mp.mpf(2) ** -90
+        for abc in CM_FORMS:
+            form = BinaryQuadraticForm(*abc)
+            with mp.workprec(240):
+                expected = 1728 * mp.kleinj(cm_point(form))
+                got = as_mpc(j_evaluate(form, 120), 120)
+                assert abs(got - expected) < mp.mpf(2) ** -100 * max(1, abs(expected)), form
+
+    def test_relative_error_near_2_to_the_minus_bits_where_w_is_large(self):
+        # |w| = |1/q| reaches 2^1433 at the principal forms of D near -10^5,
+        # and j's relative error stays within 2^16 units of 2^-bits there
+        for abc, precision in [((1, 1, 24997), 1500), ((1, 0, 25000), 1500),
+                               ((2, 1, 12499), 800)]:
+            form = BinaryQuadraticForm(*abc)
+            bits = precision + hilbert._GUARD_BITS
+            with mp.workprec(bits + 128):
+                expected = 1728 * mp.kleinj(cm_point(form))
+                err = abs(as_mpc(j_evaluate(form, precision), precision) - expected)
+                assert err < mp.mpf(2) ** (16 - bits) * abs(expected), abc
+
+    def test_pentagonal_series_is_bounded_at_the_corner(self):
+        # (182, 181, 182) has a = c and the largest a for D = -99735: its
+        # root is on the edge of the fundamental domain next to rho, so its
+        # |q| is near the largest any reduced form has, exp(-pi sqrt 3).  At
+        # the precision cap the series stops after the count fixed up front,
+        # the least count whose tail bound holds
+        form = BinaryQuadraticForm(182, 181, 182)
+        bits = hilbert.MAX_PRECISION_BITS + hilbert._GUARD_BITS
+        n_terms, e_max = hilbert._pentagonal_length(form, bits)
+        with mp.workprec(bits + 64):
+            absq = mp.exp(-mp.pi * mp.sqrt(-form.discriminant()) / form.a)
+            assert absq ** e_max / (1 - absq) <= mp.mpf(2) ** -bits
+        assert n_terms * (3 * n_terms - 1) / 2 < e_max <= (n_terms + 1) * (3 * n_terms + 2) / 2
+        assert n_terms == 26
+        start = time.monotonic()
+        z = j_evaluate(form, hilbert.MAX_PRECISION_BITS)
+        assert time.monotonic() - start < 30
+        with mp.workprec(bits + 64):
+            expected = 1728 * mp.kleinj(cm_point(form))
+            assert abs(as_mpc(z, hilbert.MAX_PRECISION_BITS) - expected) < mp.mpf(2) ** -8000
 
 
 class TestClassPoly:
@@ -147,6 +220,39 @@ class TestClassPoly:
             if -n % 4 in (0, 1):
                 assert hilbert_class_poly(-n).coefficients == e4_delta_class_poly(-n), -n
 
+    def test_matches_e4_delta_expansion_on_rims_locate_discriminants(self):
+        for D in RIMS_LOCATE_DISCS:
+            assert hilbert_class_poly(D).coefficients == e4_delta_class_poly(D), D
+
+    @pytest.mark.parametrize("disc", [-19999, -99987])
+    def test_matches_e4_delta_expansion_at_large_discriminant(self, disc):
+        assert hilbert_class_poly(disc).coefficients == e4_delta_class_poly(disc)
+
+    def test_residual_is_honest_at_half_precision(self):
+        # at half the bits the height asks for, the coefficients are wrong
+        # and the residual must say so
+        forms = reduced_forms(-2039)
+        precision = hilbert._precision_for(forms, 0) // 2
+        _, residual = hilbert._expand_at(forms, -2039, precision)
+        assert residual >= 0.25
+
+    def test_residual_counts_im_j_at_the_real_forms(self, monkeypatch):
+        # the forms with b = 0, b = a or a = c have real j; an imaginary part
+        # there is an error even when every coefficient rounds cleanly
+        j_exact = hilbert.j_evaluate
+
+        def tilted(form, precision=128):
+            re, im = j_exact(form, precision)
+            if form.a == 1:  # the principal form (1, 1, 18)
+                im += 1 << (precision + hilbert._GUARD_BITS - 1)  # + i / 2
+            return re, im
+
+        monkeypatch.setattr(hilbert, "j_evaluate", tilted)
+        forms = reduced_forms(-71)
+        coeffs, residual = hilbert._expand_at(forms, -71, hilbert._precision_for(forms, 0))
+        assert tuple(coeffs) == e4_delta_class_poly(-71)
+        assert 0.5 <= residual < 0.5001
+
     @pytest.mark.parametrize("disc", [-31, -47, -231, -255, -964, -1003, -2999])
     def test_degree_equals_class_number(self, disc):
         poly = hilbert_class_poly(disc)
@@ -160,7 +266,7 @@ class TestClassPoly:
     def test_over_precision_cap_refused_before_any_j_evaluation(self, monkeypatch):
         # |D| = 99991 is within the discriminant cap, but its 205 reduced
         # forms need 10115 bits, over the 8192-bit precision cap
-        def forbidden(tau, precision=128):
+        def forbidden(form, precision=128):
             raise AssertionError("j evaluated before the refusal")
 
         monkeypatch.setattr(hilbert, "j_evaluate", forbidden)
