@@ -13,7 +13,7 @@ import os
 import sys
 import tempfile
 
-from . import hilbert, nbwalk, ordercount, quadform, ssgraph
+from . import hilbert, nbwalk, ordercount, ssgraph
 from .ff import PRIMALITY_BOUND, is_prime
 from .modpoly import MODPOLY_ENV_VAR
 from .ordercount import MAX_N
@@ -60,8 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("locate", help="locate an order's cycles in the graph")
     common(sp, p=True, ell=True, graph=True)
     sp.add_argument("--disc", type=int, required=True)
-    sp.add_argument("--precision-bits", type=int, default=0,
-                    help="minimum working precision for class polynomials")
 
     return parser
 
@@ -85,9 +83,6 @@ def _validate(args):
     for flag, value in (("--r", getattr(args, "r", None)), ("--N", getattr(args, "N", None))):
         if value is not None and not (3 <= value <= MAX_N):
             raise ValueError(f"{flag} must be within 3..{MAX_N}")
-    bits = getattr(args, "precision_bits", 0)
-    if not (0 <= bits <= hilbert.MAX_PRECISION_BITS):
-        raise ValueError(f"--precision-bits must be within 0..{hilbert.MAX_PRECISION_BITS}")
 
 
 def _write(text: str, out_path: str | None):
@@ -195,14 +190,8 @@ def _spectral(args):
 
 
 def _locate(args):
-    with hilbert.locate_stage(args.disc, args.p, args.ell):
-        _, phi = hilbert.check_locate_inputs(args.disc, args.p, args.ell,
-                                             modpoly_dir=args.modpoly_dir)
-    # locate needs only the supersingular vertex set, which does not depend
-    # on ell; the ell = 2 graph is the cheapest build that certifies it
-    g = ssgraph.build_graph(args.p, 2)
-    cycles = hilbert.locate_rim_vertices(args.disc, args.p, args.ell, g,
-                                         min_precision=args.precision_bits, modpoly=phi)
+    cycles = hilbert.locate_rim_vertices(args.disc, args.p, args.ell,
+                                         modpoly_dir=args.modpoly_dir)
     rendered = [[str(v) for v in cyc] for cyc in cycles]
     for cyc in rendered:
         _summary("cycle: (" + ", ".join(cyc) + ")")

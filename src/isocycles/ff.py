@@ -474,6 +474,17 @@ def _divide_out_root(c, root, p, n):
     return q, rem
 
 
+def _deflate(c, root, p, n):
+    """The multiplicity m of root in c, and the quotient c / (x - root)^m."""
+    m = 0
+    while len(c) > 1:
+        quo, rem = _divide_out_root(c, root, p, n)
+        if rem != (0, 0):
+            break
+        m, c = m + 1, quo
+    return m, c
+
+
 def _quadratic_roots(c, p, n):
     """Both roots of the monic quadratic c = [q0, q1, 1], with multiplicity.
 
@@ -519,16 +530,9 @@ def _roots_internal(c, p, n):
     distinct = _split_linear(g, p, n)
     out = []
     for root in sorted(distinct):
-        rem = c
-        while True:
-            quo, r = _divide_out_root(rem, root, p, n)
-            if r != (0, 0):
-                break
-            out.append(root)
-            rem = quo
-            if len(rem) <= 1:
-                break
-    return sorted(out)
+        m, c = _deflate(c, root, p, n)
+        out += [root] * m
+    return out
 
 
 class PolyOverFp2:

@@ -21,11 +21,12 @@ quadratic factor.  Coefficients are rounded to integers; the rounding
 residual, and |Im j| at the real j, must stay below 0.25 or the
 computation retries at doubled precision.
 
-Rims need no ell-graph.  When p neither divides the conductor of D nor
-splits in its field, Deuring's reduction theorem puts every root of
-H_D mod p among the supersingular j-invariants; dividing H_D mod p
-by (X - v) over that vertex set finds the roots with multiplicity, and a
-remainder other than 1 refutes the premise.  Two roots u, v are adjacent
+Rims need no ell-graph.  `locate_rim_vertices` checks its inputs, then
+builds the ell = 2 graph for the supersingular vertex set.  When p neither
+divides the conductor of D nor splits in its field, Deuring's reduction
+theorem puts every root of H_D mod p among those vertices; dividing H_D mod
+p by (X - v) over them finds the roots with multiplicity, and a remainder
+other than 1 refutes the premise.  Two roots u, v are adjacent
 when Phi_ell(u, v) = 0, and a bounded depth-first search threads the roots
 into the rim cycles.
 """
@@ -42,10 +43,9 @@ from . import quadform
 # every module that imports it, and
 # perfbench/tests/test_perfbench.py::test_tracer_wraps_imported_names_and_restores
 # asserts hilbert.poly_roots is ff.poly_roots.
-from .ff import (MAX_ROOT_DEGREE, PolyOverFp2, PrimeField, _divide_out_root,
+from .ff import (MAX_ROOT_DEGREE, PolyOverFp2, PrimeField, _deflate, _divide_out_root,
                  kronecker_symbol, poly_roots)
-from .modpoly import (ModularPolynomial, instantiate_pairs, reduce_mod_p,
-                      resolve_modular_polynomial)
+from .modpoly import instantiate_pairs, reduce_mod_p, resolve_modular_polynomial
 
 MAX_ABS_DISC = 10**5
 MAX_PRECISION_BITS = 8192
@@ -195,10 +195,10 @@ class ClassPolynomial:
         return len(self.coefficients) - 1
 
 
-def _precision_for(forms, min_precision: int) -> int:
+def _precision_for(forms) -> int:
     D = forms[0].discriminant()
     height = math.pi * math.sqrt(-D) * math.fsum(1 / f.a for f in forms)
-    return max(math.ceil(height / math.log(2)) + 64, min_precision)
+    return math.ceil(height / math.log(2)) + 64
 
 
 def _expand_at(forms, D, precision):
@@ -241,11 +241,11 @@ def _expand_at(forms, D, precision):
 
 
 @lru_cache(maxsize=None)
-def _class_poly_cached(D: int, min_precision: int) -> ClassPolynomial:
+def _class_poly_cached(D: int) -> ClassPolynomial:
     where = f"hilbert_class_poly(D={D}): "
     disc = quadform.Discriminant(D)
     forms = quadform.reduced_forms(disc)
-    precision = _precision_for(forms, min_precision)
+    precision = _precision_for(forms)
     if precision > MAX_PRECISION_BITS:
         raise ValueError(f"{where}needs {precision} bits, over the cap {MAX_PRECISION_BITS}")
     for retry in range(_MAX_RETRIES + 1):
@@ -261,27 +261,20 @@ def _class_poly_cached(D: int, min_precision: int) -> ClassPolynomial:
     )
 
 
-def hilbert_class_poly(D, min_precision: int = 0) -> ClassPolynomial:
+def hilbert_class_poly(D) -> ClassPolynomial:
     """The class polynomial of the order of discriminant D, |D| <= 1e5.
 
-    The working precision is the one the reduced forms need, and at least
-    `min_precision` bits.
+    The working precision is the one the reduced forms need.
     """
     disc = D if isinstance(D, quadform.Discriminant) else quadform.Discriminant(D)
     if -disc.value > MAX_ABS_DISC:
         raise ValueError(f"|D| = {-disc.value} exceeds cap {MAX_ABS_DISC}")
-    return _class_poly_cached(disc.value, min_precision)
+    return _class_poly_cached(disc.value)
 
 
-def hilbert_mod_p(D, p: int, field: PrimeField | None = None,
-                  min_precision: int = 0) -> PolyOverFp2:
-    """Coefficientwise reduction of the class polynomial mod p."""
-    if field is None:
-        field = PrimeField(p)
-    elif field.p != p:
-        raise ValueError("field does not match p")
-    poly = hilbert_class_poly(D, min_precision)
-    return PolyOverFp2(field, [c % p for c in poly.coefficients])
+def hilbert_mod_p(D, field: PrimeField) -> PolyOverFp2:
+    """Coefficientwise reduction of the class polynomial mod the field's p."""
+    return PolyOverFp2(field, hilbert_class_poly(D).coefficients)
 
 
 def _canonical_cycle(seq: tuple) -> tuple:
@@ -289,59 +282,50 @@ def _canonical_cycle(seq: tuple) -> tuple:
     return min(base[k:] + base[:k] for base in (seq, seq[::-1]) for k in range(len(seq)))
 
 
-def check_locate_inputs(D, p: int, ell: int, modpoly: ModularPolynomial | None = None,
-                        modpoly_dir: str | None = None):
-    """Refuse what `locate` cannot do, before any class polynomial or graph.
-
-    The class number comes from the reduced forms and is checked against the
-    root-finding cap; Phi_ell is resolved (embedded, or from a directory);
-    ell must split in D, so that a class above ell exists; and p must
-    neither divide the conductor nor split in the field, Deuring's
-    conditions for the roots of H_D mod p to be supersingular.  Returns the
-    discriminant and Phi_ell.
-    """
-    disc = D if isinstance(D, quadform.Discriminant) else quadform.Discriminant(D)
-    h = quadform.class_number(disc)
-    if h > MAX_ROOT_DEGREE:
-        raise ValueError(
-            f"class number h({disc.value}) = {h} exceeds the root-finding "
-            f"degree cap {MAX_ROOT_DEGREE}"
-        )
-    phi = modpoly if modpoly is not None else resolve_modular_polynomial(ell, modpoly_dir)
-    if phi.level != ell:
-        raise ValueError(f"modular polynomial level {phi.level} != ell {ell}")
-    if quadform.splitting_type(disc, ell) != quadform.SPLIT:
-        raise ValueError(f"{ell} does not split in discriminant {disc.value}")
-    if disc.conductor % p == 0:
-        raise ValueError(f"p={p} divides the conductor of {disc.value}")
-    if kronecker_symbol(disc.fundamental, p) == 1:
-        raise ValueError(
-            f"p={p} splits in the field of discriminant {disc.value}; the "
-            "reductions of its class polynomial roots are not supersingular"
-        )
-    return disc, phi
-
-
-def locate_rim_vertices(D, p: int, ell: int, graph, min_precision: int = 0,
-                        modpoly: ModularPolynomial | None = None) -> list[tuple]:
+def locate_rim_vertices(D, p: int, ell: int, *, modpoly_dir: str | None = None) -> list[tuple]:
     """Thread the mod-p class polynomial roots into cycles of the isogeny graph.
 
-    `graph` is any graph over F_{p^2} and serves only for its vertex set,
-    the supersingular j-invariants.  H_D mod p is divided by (X - v) for
-    each vertex v in turn and must deflate to 1; the roots (with
-    multiplicity) are then decomposed into h/r cyclic vertex sequences of
-    length r, where r is the order of the class above ell, with consecutive
-    vertices u, v adjacent: Phi_ell(u, v) = 0.  `modpoly` is Phi_ell, the
-    embedded one by default.  Output cycles are canonicalized up to rotation
-    and reversal, preferring lexicographically least starting vertices.
-    Errors name the inputs.
+    First, before any class polynomial or graph, it refuses a class number
+    over the root-finding cap, an ell whose Phi_ell is neither embedded nor
+    in `modpoly_dir`, an ell that does not split in D (no class above ell),
+    and a p that divides the conductor or splits in the field (Deuring's
+    conditions for supersingular roots).  The ell = 2 graph, the cheapest
+    build that certifies the supersingular vertex set, then supplies the
+    vertices v; H_D mod p is divided by (X - v) for each in turn and must
+    deflate to 1.  The roots (with multiplicity) are decomposed into h/r
+    cyclic vertex sequences of length r, the order of the class above ell,
+    with consecutive vertices u, v adjacent: Phi_ell(u, v) = 0.  Output
+    cycles are canonicalized up to rotation and reversal, preferring
+    lexicographically least starting vertices.  Errors name the inputs,
+    those of the graph build name build_graph.
     """
-    with locate_stage(D, p, ell):
-        return _thread_rims(D, p, ell, graph, min_precision, modpoly)
+    from . import ssgraph  # ssgraph imports this module for its CM seed
+
+    with _named_errors(D, p, ell):
+        disc = D if isinstance(D, quadform.Discriminant) else quadform.Discriminant(D)
+        h = quadform.class_number(disc)
+        if h > MAX_ROOT_DEGREE:
+            raise ValueError(
+                f"class number h({disc.value}) = {h} exceeds the root-finding "
+                f"degree cap {MAX_ROOT_DEGREE}"
+            )
+        phi = resolve_modular_polynomial(ell, modpoly_dir)
+        if quadform.splitting_type(disc, ell) != quadform.SPLIT:
+            raise ValueError(f"{ell} does not split in discriminant {disc.value}")
+        if disc.conductor % p == 0:
+            raise ValueError(f"p={p} divides the conductor of {disc.value}")
+        if kronecker_symbol(disc.fundamental, p) == 1:
+            raise ValueError(
+                f"p={p} splits in the field of discriminant {disc.value}; the "
+                "reductions of its class polynomial roots are not supersingular"
+            )
+    graph = ssgraph.build_graph(p, 2)
+    with _named_errors(D, p, ell):
+        return _thread_rims(disc, p, phi, graph)
 
 
 @contextmanager
-def locate_stage(D, p: int, ell: int):
+def _named_errors(D, p: int, ell: int):
     """Prefix errors raised inside with `locate_rim_vertices(D=…, p=…, ell=…): `."""
     try:
         yield
@@ -351,25 +335,19 @@ def locate_stage(D, p: int, ell: int):
         raise
 
 
-def _thread_rims(D, p, ell, graph, min_precision, modpoly):
-    disc, phi = check_locate_inputs(D, p, ell, modpoly)
-    if graph.p != p:
-        raise ValueError(f"graph was built for p={graph.p}")
-    sigma = quadform.prime_form(disc, ell)
+def _thread_rims(disc, p, phi, graph):
+    sigma = quadform.prime_form(disc, phi.level)
     r = quadform.form_order(disc, sigma)
     n = graph.field.non_residue
 
     # Deuring: every root of H_D mod p is a supersingular j-invariant, so
     # dividing out the vertices one by one must leave the constant 1.
-    c = list(hilbert_mod_p(disc, p, graph.field, min_precision).coeff_pairs())
+    c = list(hilbert_mod_p(disc, graph.field).coeff_pairs())
     count = {}
     for i, v in enumerate(graph.vertices):
-        while len(c) > 1:
-            quo, rem = _divide_out_root(c, v.key(), p, n)
-            if rem != (0, 0):
-                break
-            count[i] = count.get(i, 0) + 1
-            c = quo
+        m, c = _deflate(c, v.key(), p, n)
+        if m:
+            count[i] = m
     if c != [(1, 0)]:
         raise ValueError(
             f"H_{disc.value} mod {p} keeps a factor of degree {len(c) - 1} with no "

@@ -179,21 +179,15 @@ def _reduced_triples(D: int):
         b += 2
 
 
-@lru_cache(maxsize=None)
-def _reduced_forms(D: int) -> tuple:
+def reduced_forms(D) -> list[BinaryQuadraticForm]:
+    """All primitive reduced forms of the discriminant, in (a, b) order."""
     out = []
-    for a, b, c in _reduced_triples(D):
+    for a, b, c in _reduced_triples(_as_disc(D).value):
         out.append((a, b, c))
         if 0 < b < a < c:
             out.append((a, -b, c))
     out.sort()
-    return tuple(BinaryQuadraticForm(a, b, c) for a, b, c in out)
-
-
-def reduced_forms(D) -> list[BinaryQuadraticForm]:
-    """All primitive reduced forms of the discriminant, in (a, b) order."""
-    D = _as_disc(D)
-    return list(_reduced_forms(D.value))
+    return [BinaryQuadraticForm(a, b, c) for a, b, c in out]
 
 
 @lru_cache(maxsize=None)

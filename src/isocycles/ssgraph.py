@@ -15,8 +15,7 @@ import json
 from . import hilbert
 from .ff import (PolyOverFp2, PrimeField, QuadExtElement, is_prime, kronecker_symbol,
                  next_prime, poly_roots)
-from .modpoly import (ModularPolynomial, instantiate_pairs, reduce_mod_p,
-                      resolve_modular_polynomial)
+from .modpoly import instantiate_pairs, reduce_mod_p, resolve_modular_polynomial
 
 MAX_GRAPH_PRIME = 2 * 10**5
 _SEED_SEARCH_LIMIT = 1000
@@ -53,7 +52,7 @@ def initial_supersingular_j(p: int) -> QuadExtElement:
             raise ArithmeticError(
                 f"initial_supersingular_j(p={p}): no CM seed prime below {_SEED_SEARCH_LIMIT}"
             )
-    roots = poly_roots(hilbert.hilbert_mod_p(-q, p, field))
+    roots = poly_roots(hilbert.hilbert_mod_p(-q, field))
     return roots[0]
 
 
@@ -113,8 +112,7 @@ class IsogenyGraph:
         return "\n".join(lines) + "\n"
 
 
-def build_graph(p: int, ell: int, modpoly: ModularPolynomial | None = None,
-                modpoly_dir: str | None = None) -> IsogenyGraph:
+def build_graph(p: int, ell: int, modpoly_dir: str | None = None) -> IsogenyGraph:
     """BFS closure of the supersingular locus under ell-isogeny adjacency.
 
     The vertex count is validated against the closed-form census; a
@@ -122,23 +120,20 @@ def build_graph(p: int, ell: int, modpoly: ModularPolynomial | None = None,
     error names the stage and (p, ell).
     """
     try:
-        return _build(p, ell, modpoly, modpoly_dir)
+        return _build(p, ell, modpoly_dir)
     except (ValueError, ArithmeticError) as exc:
         exc.args = (f"build_graph(p={p}, ell={ell}): {exc}",)
         raise
 
 
-def _build(p, ell, modpoly, modpoly_dir):
+def _build(p, ell, modpoly_dir):
     if not is_prime(ell):
         raise ValueError(f"ell must be prime, got {ell}")
     if p > MAX_GRAPH_PRIME:
         raise ValueError(f"p={p} exceeds the desk-scale cap {MAX_GRAPH_PRIME}")
     if ell >= p:
         raise ValueError(f"need ell < p, got ell={ell}, p={p}")
-    if modpoly is None:
-        modpoly = resolve_modular_polynomial(ell, modpoly_dir)
-    if modpoly.level != ell:
-        raise ValueError(f"modular polynomial level {modpoly.level} != ell {ell}")
+    modpoly = resolve_modular_polynomial(ell, modpoly_dir)
 
     seed = initial_supersingular_j(p)
     field = seed.field

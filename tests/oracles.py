@@ -165,7 +165,7 @@ def rims_on_ell_graph(D: int, graph) -> list[tuple]:
     disc = quadform.Discriminant(D)
     r = quadform.form_order(disc, quadform.prime_form(disc, graph.ell))
     count = {}
-    for v in poly_roots(hilbert.hilbert_mod_p(D, graph.p, graph.field)):
+    for v in poly_roots(hilbert.hilbert_mod_p(D, graph.field)):
         i = graph.vertex_index[v]
         count[i] = count.get(i, 0) + 1
     ids = sorted(count)

@@ -230,7 +230,7 @@ def test_criterion_10_rim_localization(g179):
     }
     failures = []
     for disc, cycles in expected.items():
-        got = locate_rim_vertices(disc, 179, 2, g179)
+        got = locate_rim_vertices(disc, 179, 2)
         want = sorted(tuple(sorted(v.key() for v in c)) for c in cycles)
         have = sorted(tuple(sorted(v.key() for v in c)) for c in got)
         if want != have:

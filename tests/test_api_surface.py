@@ -1,4 +1,5 @@
-"""Every public name in the program is used by the program.
+"""Every public name in the program is used by the program, and so is
+every parameter with a default.
 
 A public function, class or non-dunder method of `src/isocycles` that no
 code in `src/isocycles` references outside its own body is API that only
@@ -7,7 +8,9 @@ tests use; it belongs in `tests/` or nowhere.  A reference is a `Name`, an
 when any attribute of that name is read anywhere in the program.  A public
 field (a `__slots__` entry, or a class-level annotated field of a dataclass
 or NamedTuple) counts as used when an attribute of that name is loaded
-outside its class.
+outside its class.  A parameter with a default on a public function or
+method counts as used when some call of that name elsewhere in the program
+passes it, by position or by keyword.
 """
 
 import ast
@@ -107,3 +110,74 @@ def test_every_public_name_is_used_by_the_program():
 def test_pinned_names_are_defined():
     defined = {q for module, tree in _modules() for q, *_ in _definitions(module, tree)}
     assert set(PINNED) <= defined
+
+
+# Parameters with a default that only code outside the program passes.
+PINNED_PARAMETERS = {
+    "cli.main(argv)": "perfbench/run.py runs each operation as cli.main(argv), and the tests "
+                      "call it the same way; the console script passes nothing",
+    "ff.PrimeField.elem(b)": "perfbench/tests/test_perfbench.py::"
+                             "test_fp2_eval_matches_program_arithmetic builds F_{p^2} "
+                             "elements with both coordinates",
+}
+
+
+def _defaulted(fn, is_method):
+    """(position or None, name) of each parameter of `fn` with a default.
+
+    Positions count from the first argument a call writes, so a method's
+    self (or cls) is skipped; keyword-only parameters have no position.
+    """
+    args = fn.args.posonlyargs + fn.args.args
+    if is_method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in fn.decorator_list):
+        args = args[1:]
+    first = len(args) - len(fn.args.defaults)
+    for k, arg in enumerate(args[first:], first):
+        yield k, arg.arg
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _functions(module, tree):
+    """(qualified name, node, is_method) for each public function and method."""
+    for qualname, _, node, _ in _definitions(module, tree):
+        if isinstance(node, ast.FunctionDef):
+            yield qualname, node, qualname.count(".") == 2
+
+
+def _passes(call, position, name):
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and position < len(call.args)
+
+
+def unpassed_parameters() -> list[str]:
+    modules = list(_modules())
+    calls = [node for _, tree in modules for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    unpassed = []
+    for module, tree in modules:
+        for qualname, fn, is_method in _functions(module, tree):
+            own = {id(n) for n in ast.walk(fn)}
+            mine = [c for c in calls if id(c) not in own
+                    and getattr(c.func, "id", getattr(c.func, "attr", None)) == fn.name]
+            for position, name in _defaulted(fn, is_method):
+                if not any(_passes(c, position, name) for c in mine):
+                    unpassed.append(f"{qualname}({name})")
+    return unpassed
+
+
+def test_every_defaulted_parameter_is_passed_by_the_program():
+    assert sorted(set(unpassed_parameters()) - set(PINNED_PARAMETERS)) == []
+
+
+def test_pinned_parameters_are_defined():
+    modules = list(_modules())
+    defined = {f"{q}({name})" for module, tree in modules
+               for q, fn, is_method in _functions(module, tree)
+               for _, name in _defaulted(fn, is_method)}
+    assert set(PINNED_PARAMETERS) <= defined

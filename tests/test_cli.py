@@ -274,32 +274,6 @@ class TestLocateCommand:
                        f"{hilbert.THREADING_BUDGET} steps\n")
         assert time.monotonic() - start < 60
 
-    def test_precision_bits_leave_later_calls_at_default(self, capsys, monkeypatch):
-        # the flag reaches the one locate call it was given and nothing after
-        used = []
-        expand = hilbert._expand_at
-
-        def recording(forms, D, precision):
-            used.append(precision)
-            return expand(forms, D, precision)
-
-        monkeypatch.setattr(hilbert, "_expand_at", recording)
-        hilbert._class_poly_cached.cache_clear()
-        argv = ["locate", "--disc", "-31", "--p", "179", "--ell", "2"]
-        code, high, _ = run(capsys, *argv, "--precision-bits", "4096")
-        assert code == 0 and used == [4096]
-        code, default, _ = run(capsys, *argv)
-        assert code == 0 and high == default
-        assert len(used) == 2 and used[1] < 4096
-        # a direct call at default precision reuses the default expansion
-        hilbert.hilbert_class_poly(-31)
-        assert len(used) == 2
-
-    def test_precision_bits_over_cap_refused(self, capsys):
-        code, _, err = run(capsys, "locate", "--disc", "-31", "--p", "179",
-                           "--ell", "2", "--precision-bits", "8193")
-        assert code == 2 and "--precision-bits must be within 0..8192" in err
-
 
 class TestStdout:
     @pytest.mark.parametrize("argv", [
@@ -324,15 +298,17 @@ class TestStdout:
 
 
 class TestModpolyDir:
-    @pytest.mark.parametrize("argv", [
-        ["bound", "--N", "6", "--ell", "2"],
-        ["orders", "--p", "179", "--ell", "2", "--r", "3"],
-    ], ids=lambda argv: argv[0])
-    def test_refused_where_no_graph_is_built(self, capsys, argv):
+    @pytest.mark.parametrize("argv,flag", [
+        (["bound", "--N", "6", "--ell", "2"], ["--modpoly-dir", "/nonexistent"]),
+        (["orders", "--p", "179", "--ell", "2", "--r", "3"], ["--modpoly-dir", "/nonexistent"]),
+        # the class polynomial precision follows from the reduced forms alone
+        (["locate", "--disc", "-31", "--p", "179", "--ell", "2"], ["--precision-bits", "4096"]),
+    ], ids=["bound", "orders", "locate"])
+    def test_refused_where_no_graph_is_built(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--modpoly-dir", "/nonexistent"])
+            main(argv + flag)
         assert exc.value.code == 2
-        assert "unrecognized arguments: --modpoly-dir" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 class TestDeterminism:

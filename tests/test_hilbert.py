@@ -1,10 +1,9 @@
 import time
-from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
 
-from isocycles import hilbert
+from isocycles import hilbert, ssgraph
 from isocycles.ff import PolyOverFp2, PrimeField, poly_roots
 from isocycles.hilbert import (
     hilbert_class_poly,
@@ -53,7 +52,7 @@ def e4_delta_j(tau, precision):
 def e4_delta_class_poly(D):
     """H_D expanded over every reduced form in complex arithmetic."""
     forms = reduced_forms(D)
-    precision = hilbert._precision_for(forms, 0)
+    precision = hilbert._precision_for(forms)
     with mp.workprec(precision + 48):
         coeffs = [mp.mpc(1)]
         for f in forms:
@@ -232,7 +231,7 @@ class TestClassPoly:
         # at half the bits the height asks for, the coefficients are wrong
         # and the residual must say so
         forms = reduced_forms(-2039)
-        precision = hilbert._precision_for(forms, 0) // 2
+        precision = hilbert._precision_for(forms) // 2
         _, residual = hilbert._expand_at(forms, -2039, precision)
         assert residual >= 0.25
 
@@ -249,7 +248,7 @@ class TestClassPoly:
 
         monkeypatch.setattr(hilbert, "j_evaluate", tilted)
         forms = reduced_forms(-71)
-        coeffs, residual = hilbert._expand_at(forms, -71, hilbert._precision_for(forms, 0))
+        coeffs, residual = hilbert._expand_at(forms, -71, hilbert._precision_for(forms))
         assert tuple(coeffs) == e4_delta_class_poly(-71)
         assert 0.5 <= residual < 0.5001
 
@@ -274,9 +273,9 @@ class TestClassPoly:
                            r"needs 10115 bits, over the cap 8192"):
             hilbert_class_poly(-99991)
 
-    @pytest.mark.parametrize("floor,tried", [(500, [500, 1000, 2000, 4000]),
+    @pytest.mark.parametrize("start,tried", [(500, [500, 1000, 2000, 4000]),
                                              (3000, [3000, 6000])])
-    def test_residual_retries_end_with_named_error(self, monkeypatch, floor, tried):
+    def test_residual_retries_end_with_named_error(self, monkeypatch, start, tried):
         # doublings stop after three retries or at the precision cap
         used = []
 
@@ -284,23 +283,25 @@ class TestClassPoly:
             used.append(precision)
             return [0] * (len(forms) + 1), 0.5
 
+        monkeypatch.setattr(hilbert, "_precision_for", lambda forms: start)
         monkeypatch.setattr(hilbert, "_expand_at", noisy)
+        hilbert._class_poly_cached.cache_clear()
         with pytest.raises(ArithmeticError, match=rf"^hilbert_class_poly\(D=-71\): "
                            rf"rounding residual 0.5 at {tried[-1]} bits"):
-            hilbert_class_poly(-71, min_precision=floor)
+            hilbert_class_poly(-71)
         assert used == tried
 
 
 class TestModP:
     def test_minus_4_mod_179(self):
         F = PrimeField(179)
-        f = hilbert_mod_p(-4, 179)
+        f = hilbert_mod_p(-4, F)
         assert f == PolyOverFp2(F, [F.elem(-1728), F.one])
         assert F.elem(-1728) == F.elem(62)  # -117 mod 179
 
     def test_minus_31_roots_are_the_3_cycle(self, g179):
         F = g179.field
-        roots = poly_roots(hilbert_mod_p(-31, 179, F))
+        roots = poly_roots(hilbert_mod_p(-31, F))
         i = poly_roots(PolyOverFp2(F, [1, 0, 1]))[0]
         j3 = F.elem(109) + F.elem(5) * i
         expected = {F.elem(171), j3, F.elem(j3.a, -j3.b)}
@@ -310,30 +311,26 @@ class TestModP:
         F = PrimeField(179)
         from isocycles.ff import poly_roots
 
-        roots = set(poly_roots(hilbert_mod_p(-39, 179, F)))
+        roots = set(poly_roots(hilbert_mod_p(-39, F)))
         assert F.elem(61) in roots and F.elem(140) in roots
-
-    def test_field_mismatch(self):
-        with pytest.raises(ValueError):
-            hilbert_mod_p(-4, 179, PrimeField(7))
 
 
 class TestLocate:
-    def test_3_cycle_of_minus_31(self, g179):
-        cycles = locate_rim_vertices(-31, 179, 2, g179)
+    def test_3_cycle_of_minus_31(self):
+        cycles = locate_rim_vertices(-31, 179, 2)
         assert len(cycles) == 1
         labels = {str(v) for v in cycles[0]}
         assert labels == {"171", "109+16*s", "109+163*s"}
 
-    def test_5_cycle_of_minus_47(self, g179):
-        (cycle,) = locate_rim_vertices(-47, 179, 2, g179)
+    def test_5_cycle_of_minus_47(self):
+        (cycle,) = locate_rim_vertices(-47, 179, 2)
         assert len(cycle) == 5
         assert {str(v) for v in cycle} == {
             "22", "107+77*s", "107+102*s", "109+16*s", "109+163*s"
         }
 
-    def test_conjugate_pair_of_minus_231(self, g179):
-        cycles = locate_rim_vertices(-231, 179, 2, g179)
+    def test_conjugate_pair_of_minus_231(self):
+        cycles = locate_rim_vertices(-231, 179, 2)
         assert len(cycles) == 2
         sets = [frozenset(str(v) for v in c) for c in cycles]
         assert sets[0] != sets[1]
@@ -343,32 +340,51 @@ class TestLocate:
                           for s in sets[0])}
         assert sets[1] in conj
 
-    def test_repeated_vertex_cycle_of_minus_247(self, g179):
-        (cycle,) = locate_rim_vertices(-247, 179, 2, g179)
+    def test_repeated_vertex_cycle_of_minus_247(self):
+        (cycle,) = locate_rim_vertices(-247, 179, 2)
         multiset = sorted(str(v) for v in cycle)
         assert multiset == ["0", "112", "112", "121", "121", "35"]
 
-    def test_split_prime_rejected(self, g179):
+    def test_split_prime_rejected(self):
         # 179 splits in Q(sqrt(-23)): the class polynomial roots are ordinary
         with pytest.raises(ValueError, match="splits in the field"):
-            locate_rim_vertices(-23, 179, 2, g179)
+            locate_rim_vertices(-23, 179, 2)
 
-    def test_nonsplit_ell_rejected(self, g179):
+    def test_nonsplit_ell_rejected(self):
         # 2 is inert in Q(sqrt(-3)) and ramified in Q(sqrt(-5))
         with pytest.raises(ValueError, match="does not split"):
-            locate_rim_vertices(-3, 179, 2, g179)
+            locate_rim_vertices(-3, 179, 2)
         with pytest.raises(ValueError, match="does not split"):
-            locate_rim_vertices(-20, 179, 2, g179)
+            locate_rim_vertices(-20, 179, 2)
 
     def test_over_degree_cap_refused_before_class_poly(self, monkeypatch):
         # h(-7831) = 66 is over the root-finding cap of 64
-        def forbidden(D):
-            raise AssertionError("class polynomial built before the refusal")
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called before the refusal")
 
+        monkeypatch.setattr(ssgraph, "build_graph", forbidden)
         monkeypatch.setattr(hilbert, "_class_poly_cached", forbidden)
-        graph = SimpleNamespace(p=3361, ell=2)
-        with pytest.raises(ValueError, match="degree cap 64"):
-            locate_rim_vertices(-7831, 3361, 2, graph)
+        with pytest.raises(ValueError, match=r"^locate_rim_vertices\(D=-7831, p=3361, ell=2\): "
+                           r"class number h\(-7831\) = 66 exceeds the root-finding degree cap 64$"):
+            locate_rim_vertices(-7831, 3361, 2)
+
+    @pytest.mark.parametrize("p,ell,disc,message", [
+        (10009, 3, -20, "p=10009 splits in the field of discriminant -20"),
+        (179, 2, -3, "2 does not split in discriminant -3"),
+        (13, 2, -1183, "p=13 divides the conductor of -1183"),
+        (179, 5, -31, "level 5 is not embedded and no modular polynomial directory given"),
+    ])
+    def test_input_refusals_before_any_work(self, monkeypatch, p, ell, disc, message):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called before the refusal")
+
+        monkeypatch.delenv("ISOCYCLES_MODPOLY_DIR", raising=False)
+        monkeypatch.setattr(ssgraph, "build_graph", forbidden)
+        monkeypatch.setattr(hilbert, "_class_poly_cached", forbidden)
+        with pytest.raises(ValueError) as exc:
+            locate_rim_vertices(disc, p, ell)
+        assert str(exc.value).startswith(
+            f"locate_rim_vertices(D={disc}, p={p}, ell={ell}): {message}")
 
     def test_threading_of_every_order_at_179(self, g179):
         F = g179.field
@@ -376,26 +392,23 @@ class TestLocate:
         for r in range(3, 10):
             for rec in enumerate_orders(r, 179, 2):
                 D = rec.discriminant.value
-                cycles = locate_rim_vertices(D, 179, 2, g179)
+                cycles = locate_rim_vertices(D, 179, 2)
                 assert len(cycles) == rec.h // r and all(len(c) == r for c in cycles), D
                 for cyc in cycles:
                     for u, v in zip(cyc, cyc[1:] + cyc[:1]):
                         i, j = g179.vertex_index[u], g179.vertex_index[v]
                         assert g179.adjacency[i].get(j, 0) > 0, (D, u, v)
                 vertices = sorted(v for cyc in cycles for v in cyc)
-                assert vertices == poly_roots(hilbert_mod_p(D, 179, F)), D
+                assert vertices == poly_roots(hilbert_mod_p(D, F)), D
                 if D in PINNED_CYCLES_179:
                     seen += 1
                     assert [" ".join(map(str, c)) for c in cycles] == PINNED_CYCLES_179[D]
         assert seen == len(PINNED_CYCLES_179)
 
-    def test_errors_name_stage_and_inputs(self, g179):
+    def test_errors_name_stage_and_inputs(self):
         with pytest.raises(ValueError, match=r"^locate_rim_vertices\(D=-23, p=179, ell=2\): "
                            r".*splits in the field"):
-            locate_rim_vertices(-23, 179, 2, g179)
-        with pytest.raises(ValueError, match=r"^locate_rim_vertices\(D=-31, p=181, ell=2\): "
-                           r"graph was built for p=179$"):
-            locate_rim_vertices(-31, 181, 2, g179)
+            locate_rim_vertices(-23, 179, 2)
 
     @pytest.mark.parametrize("p,ell,levels", [
         (179, 3, range(3, 7)), (613, 3, range(3, 5)), (1009, 3, range(3, 5)),
@@ -405,7 +418,6 @@ class TestLocate:
         # roots by deflation over the ell = 2 vertex set and adjacency from
         # Phi_ell(u, v) = 0 give the cycles of the general splitting on the
         # ell-graph, for every order listed at its own level
-        vertex_set = build_graph(p, 2)
         ell_graph = build_graph(p, ell)
         seen = 0
         for r in levels:
@@ -413,12 +425,12 @@ class TestLocate:
                 if rec.l_order != r:
                     continue
                 D = rec.discriminant.value
-                assert (locate_rim_vertices(D, p, ell, vertex_set)
+                assert (locate_rim_vertices(D, p, ell)
                         == rims_on_ell_graph(D, ell_graph)), D
                 seen += 1
         assert seen == CORPUS_ORDERS[(p, ell)]
 
-    def test_changed_coefficient_fails_the_split_certificate(self, g179, monkeypatch):
+    def test_changed_coefficient_fails_the_split_certificate(self, monkeypatch):
         # H_{-47} mod 179 deflates to 1 over the 16 supersingular j; moving
         # any one coefficient by 1 leaves a factor without supersingular roots
         true_poly = hilbert_class_poly(-47)
@@ -426,17 +438,17 @@ class TestLocate:
             coeffs = list(true_poly.coefficients)
             coeffs[k] += 1
             mutant = hilbert.ClassPolynomial(true_poly.discriminant, tuple(coeffs))
-            monkeypatch.setattr(hilbert, "hilbert_class_poly", lambda D, mp=0: mutant)
+            monkeypatch.setattr(hilbert, "hilbert_class_poly", lambda D: mutant)
             with pytest.raises(ValueError, match=r"^locate_rim_vertices\(D=-47, p=179, ell=2\): "
                                r"H_-47 mod 179 keeps a factor of degree \d+ .*"
                                r"fails the nonsplit condition$"):
-                locate_rim_vertices(-47, 179, 2, g179)
+                locate_rim_vertices(-47, 179, 2)
 
-    def test_threading_stops_at_its_budget(self, g179, monkeypatch):
+    def test_threading_stops_at_its_budget(self, monkeypatch):
         # -1967 needs 30489 extension steps at (179, 2), the most in the corpus
-        locate_rim_vertices(-1967, 179, 2, g179)
+        locate_rim_vertices(-1967, 179, 2)
         monkeypatch.setattr(hilbert, "THREADING_BUDGET", 30000)
         with pytest.raises(ArithmeticError, match=r"^locate_rim_vertices\(D=-1967, p=179, "
                            r"ell=2\): threading 36 roots into cycles of length 9 exceeded "
                            r"the search budget of 30000 steps$"):
-            locate_rim_vertices(-1967, 179, 2, g179)
+            locate_rim_vertices(-1967, 179, 2)
