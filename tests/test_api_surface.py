@@ -156,6 +156,15 @@ def _passes(call, position, name):
 
 
 def unpassed_parameters() -> list[str]:
+    """Each `qualname(param)` with a default that no call in the program passes.
+
+    Calls are matched to a function by the bare callee name only (`f(...)`,
+    `x.f(...)`), not by module or class, and a call with `*args` or
+    `**kwargs` counts as passing every parameter. So two functions that share
+    a name share their calls, and one of them can hide a dead parameter of
+    the other; the scan finds a parameter no call of that name passes, not
+    every dead one.
+    """
     modules = list(_modules())
     calls = [node for _, tree in modules for node in ast.walk(tree)
              if isinstance(node, ast.Call)]
