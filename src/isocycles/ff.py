@@ -536,31 +536,26 @@ def _roots_internal(c, p, n):
 
 
 class PolyOverFp2:
-    """Univariate polynomial over F_{p^2}, coefficients lowest degree first."""
+    """Univariate polynomial over F_{p^2}, coefficients lowest degree first.
+
+    Each coefficient is an int (an element of F_p) or an (a, b) pair for a + b*s.
+    """
 
     __slots__ = ("field", "_c")
 
     def __init__(self, field: PrimeField, coeffs):
         self.field = field
-        c = []
-        for x in coeffs:
-            if isinstance(x, QuadExtElement):
-                if x.field != field:
-                    raise ValueError("coefficient from a different field")
-                c.append((x.a, x.b))
-            elif isinstance(x, int):
-                c.append((x % field.p, 0))
-            else:
-                c.append((x[0] % field.p, x[1] % field.p))
+        p = field.p
+        c = [(x % p, 0) if isinstance(x, int) else (x[0] % p, x[1] % p) for x in coeffs]
         self._c = tuple(_trim(c))
 
     @classmethod
     def from_roots(cls, field: PrimeField, roots) -> "PolyOverFp2":
-        """The monic product of (X - r) over the roots, repeated ones included."""
+        """The monic product of (X - r) over the (a, b) roots, repeated ones included."""
         p, n = field.p, field.non_residue
         out = [(1, 0)]
-        for r in roots:
-            out = _pmul(out, [(-r.a % p, -r.b % p), (1, 0)], p, n)
+        for a, b in roots:
+            out = _pmul(out, [(-a % p, -b % p), (1, 0)], p, n)
         return cls(field, out)
 
     @property
@@ -584,25 +579,22 @@ class PolyOverFp2:
         return f"PolyOverFp2({self.field.p}, {list(self._c)})"
 
 
-def poly_roots(f: PolyOverFp2, known_root: QuadExtElement | None = None) -> list[QuadExtElement]:
-    """All roots of f in F_{p^2} with multiplicity, sorted by (a, b).
+def poly_roots(f: PolyOverFp2, known_root: tuple[int, int] | None = None) -> list[tuple[int, int]]:
+    """All roots of f in F_{p^2} with multiplicity, as sorted (a, b) pairs.
 
     Distinct-degree splitting against x^(p^2) - x isolates the linear part,
     equal-degree splitting with a deterministic candidate sequence separates
     the roots, and multiplicities are read off by repeated division.  Given
-    a root the caller already knows, f is divided by it first, and a
-    quadratic left over is solved with one square root in F_{p^2}.
+    a root the caller already knows, as a reduced (a, b) pair, f is divided
+    by it first, and a quadratic left over is solved with one square root in
+    F_{p^2}; a nonzero remainder refuses a known root that is not one.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no root multiset")
     if f.degree > MAX_ROOT_DEGREE:
         raise ValueError(f"degree {f.degree} exceeds cap {MAX_ROOT_DEGREE}")
-    if known_root is not None and known_root.field != f.field:
-        raise ValueError("known root from a different field")
     p, n = f.field.p, f.field.non_residue
     c = list(f.coeff_pairs())
     if known_root is None:
-        pairs = _roots_internal(c, p, n)
-    else:
-        pairs = _roots_given_one(c, known_root.key(), p, n)
-    return [QuadExtElement(f.field, a, b) for a, b in pairs]
+        return _roots_internal(c, p, n)
+    return _roots_given_one(c, known_root, p, n)

@@ -29,8 +29,8 @@ def vertex_count_formula(p: int) -> int:
     return p // 12 + extra
 
 
-def initial_supersingular_j(p: int) -> QuadExtElement:
-    """One supersingular j-invariant in F_{p^2}.
+def initial_supersingular_j(p: int) -> tuple[int, int]:
+    """One supersingular j-invariant in F_{p^2}, as an (a, b) pair.
 
     1728 when p = 3 mod 4, else 0 when p = 2 mod 3; for p = 1 mod 12 the
     canonically smallest root of a class polynomial H_{-q} mod p for the
@@ -38,11 +38,10 @@ def initial_supersingular_j(p: int) -> QuadExtElement:
     """
     if p < 5 or not is_prime(p):
         raise ValueError(f"initial_supersingular_j(p={p}): p must be a prime >= 5")
-    field = PrimeField(p)
     if p % 4 == 3:
-        return field.elem(1728)
+        return (1728 % p, 0)
     if p % 3 == 2:
-        return field.zero
+        return (0, 0)
     q = 3
     while True:
         if q % 4 == 3 and kronecker_symbol(-q, p) == -1:
@@ -52,8 +51,7 @@ def initial_supersingular_j(p: int) -> QuadExtElement:
             raise ArithmeticError(
                 f"initial_supersingular_j(p={p}): no CM seed prime below {_SEED_SEARCH_LIMIT}"
             )
-    roots = poly_roots(hilbert.hilbert_mod_p(-q, field))
-    return roots[0]
+    return poly_roots(hilbert.hilbert_mod_p(-q, PrimeField(p)))[0]
 
 
 class IsogenyGraph:
@@ -136,7 +134,7 @@ def _build(p, ell, modpoly_dir):
     modpoly = resolve_modular_polynomial(ell, modpoly_dir)
 
     seed = initial_supersingular_j(p)
-    field = seed.field
+    field = PrimeField(p)
     n = field.non_residue
     rows = reduce_mod_p(modpoly, p)
     expected = vertex_count_formula(p)
@@ -145,20 +143,17 @@ def _build(p, ell, modpoly_dir):
     # F_{p^2}, and Phi_ell is symmetric, so the BFS parent of a vertex is a
     # root of Phi_ell(X, v): at ell = 2 the other two roots solve a quadratic.
     neighbours: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    parent = {seed.key(): None}
-    frontier = [seed.key()]
+    parent = {seed: None}
+    frontier = [seed]
     while frontier:
         nxt = []
         for v in frontier:
             f = PolyOverFp2(field, instantiate_pairs(rows, v, p, n))
-            u = parent[v]
-            known = None if u is None or ell != 2 else QuadExtElement(field, *u)
-            found = poly_roots(f, known_root=known)
-            if PolyOverFp2.from_roots(field, found) != f:
+            roots = poly_roots(f, known_root=parent[v] if ell == 2 else None)
+            if PolyOverFp2.from_roots(field, roots) != f:
                 raise ArithmeticError(
-                    f"roots {found} of Phi_{ell}(X, {v[0]}+{v[1]}*s) do not rebuild it"
+                    f"roots {roots} of Phi_{ell}(X, {v[0]}+{v[1]}*s) do not rebuild it"
                 )
-            roots = [r.key() for r in found]
             neighbours[v] = roots
             for w in roots:
                 if w not in parent:

@@ -166,7 +166,7 @@ def rims_on_ell_graph(D: int, graph) -> list[tuple]:
     r = quadform.form_order(disc, quadform.prime_form(disc, graph.ell))
     count = {}
     for v in poly_roots(hilbert.hilbert_mod_p(D, graph.field)):
-        i = graph.vertex_index[v]
+        i = graph.vertex_index[graph.field.elem(*v)]
         count[i] = count.get(i, 0) + 1
     ids = sorted(count)
     neighbours = [[k for k, j in enumerate(ids) if graph.adjacency[i].get(j, 0) > 0]
@@ -242,4 +242,4 @@ def poly_mul(f: PolyOverFp2, g: PolyOverFp2) -> PolyOverFp2:
     for i, x in enumerate(u):
         for k, y in enumerate(v):
             out[i + k] = out[i + k] + x * y
-    return PolyOverFp2(field, out)
+    return PolyOverFp2(field, [x.key() for x in out])

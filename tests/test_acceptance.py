@@ -209,7 +209,7 @@ def test_criterion_9_loop_law():
 
 def test_criterion_10_rim_localization(g179):
     F = g179.field
-    i = poly_roots(PolyOverFp2(F, [1, 0, 1]))[0]
+    i = F.elem(*poly_roots(PolyOverFp2(F, [1, 0, 1]))[0])
     j1 = F.elem(5) + F.elem(64) * i
     j2 = F.elem(107) + F.elem(99) * i
     j3 = F.elem(109) + F.elem(5) * i
@@ -266,7 +266,7 @@ def test_criterion_11_property_suites(g1009):
     F = PrimeField(41)
     f = PolyOverFp2(F, [(7, 3), (0, 1), (40, 39), (1, 0), (5, 5), (0, 0), (1, 0)])
     brute = sorted(
-        F.elem(a, b)
+        (a, b)
         for a, b in itertools.product(range(41), repeat=2)
         if poly_eval(f, F.elem(a, b)).key() == (0, 0)
     )

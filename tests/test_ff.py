@@ -210,20 +210,21 @@ class TestPolyRoots:
         F = PrimeField(179)
         roots = poly_roots(PolyOverFp2(F, [1, 0, 1]))
         assert len(roots) == 2
-        assert all(r.b != 0 for r in roots)  # -1 is a non-residue mod 179
-        assert roots[0] == -roots[1]
-        assert all((r * r) == F.elem(-1) for r in roots)
+        assert all(b != 0 for _, b in roots)  # -1 is a non-residue mod 179
+        x, y = (F.elem(*r) for r in roots)
+        assert x == -y
+        assert x * x == y * y == F.elem(-1)
 
     def test_x2_minus_2_over_f49(self):
         F = PrimeField(7)
         roots = poly_roots(PolyOverFp2(F, [-2, 0, 1]))
-        assert roots == [F.elem(3), F.elem(4)]
+        assert roots == [(3, 0), (4, 0)]
 
     def test_double_root(self):
         F = PrimeField(179)
         c = F.elem(5, 3)
-        f = PolyOverFp2(F, [c * c, -(c + c), F.one])
-        assert poly_roots(f) == [c, c]
+        f = PolyOverFp2(F, [(c * c).key(), (-(c + c)).key(), 1])
+        assert poly_roots(f) == [(5, 3), (5, 3)]
 
     def test_zero_poly_rejected(self):
         with pytest.raises(ValueError):
@@ -231,7 +232,7 @@ class TestPolyRoots:
 
     def test_degree_cap(self):
         F = PrimeField(7)
-        coeffs = [F.one] + [F.zero] * 64 + [F.one]
+        coeffs = [1] + [0] * 64 + [1]
         with pytest.raises(ValueError):
             poly_roots(PolyOverFp2(F, coeffs))
 
@@ -269,9 +270,8 @@ class TestPolyRoots:
         roots = poly_roots(f)
         brute = set()
         for a, b in itertools.product(range(p), repeat=2):
-            x = F.elem(a, b)
-            if poly_eval(f, x).key() == (0, 0):
-                brute.add(x)
+            if poly_eval(f, F.elem(a, b)).key() == (0, 0):
+                brute.add((a, b))
         assert set(roots) == brute
         assert len(roots) <= deg
 
@@ -281,7 +281,7 @@ class TestPolyRoots:
         f = PolyOverFp2(F, [(3, 5), (1, 0), (0, 2), (90, 13), (2, 2), (0, 0), (1, 0)])
         roots = poly_roots(f)
         brute = {
-            F.elem(a, b)
+            (a, b)
             for a, b in itertools.product(range(p), repeat=2)
             if poly_eval(f, F.elem(a, b)).key() == (0, 0)
         }
@@ -329,32 +329,31 @@ class TestKnownRoot:
     def test_every_split_cubic(self, p):
         # every multiset {u, r1, r2} of F_{p^2}: double and triple roots included
         F = PrimeField(p)
-        elements = [F.elem(a, b) for a in range(p) for b in range(p)]
-        scale = F.elem(2, 1)
+        elements = list(itertools.product(range(p), repeat=2))
         for u, r1, r2 in itertools.combinations_with_replacement(elements, 3):
             f = PolyOverFp2.from_roots(F, [u, r1, r2])
-            f = poly_mul(f, PolyOverFp2(F, [scale]))
+            f = poly_mul(f, PolyOverFp2(F, [(2, 1)]))
             assert poly_roots(f, known_root=u) == sorted([u, r1, r2])
             assert poly_roots(f, known_root=r2) == sorted([u, r1, r2])
 
     def test_quartic_splits_the_cubic_left(self):
         F = PrimeField(179)
-        roots = [F.elem(3, 4), F.elem(3, 4), F.elem(100), F.elem(7, 170)]
+        roots = [(3, 4), (3, 4), (100, 0), (7, 170)]
         f = PolyOverFp2.from_roots(F, roots)
         assert poly_roots(f, known_root=roots[2]) == poly_roots(f) == sorted(roots)
 
     def test_unknown_root_rejected(self):
         F = PrimeField(179)
-        f = PolyOverFp2.from_roots(F, [F.elem(1), F.elem(2), F.elem(3)])
+        f = PolyOverFp2.from_roots(F, [(1, 0), (2, 0), (3, 0)])
         with pytest.raises(ArithmeticError, match="is not a root"):
-            poly_roots(f, known_root=F.elem(4))
+            poly_roots(f, known_root=(4, 0))
         with pytest.raises(ArithmeticError, match="is not a root"):
-            poly_roots(PolyOverFp2(F, [5]), known_root=F.elem(4))
-        assert poly_roots(PolyOverFp2(F, [3, 1]), known_root=F.elem(-3)) == [F.elem(-3)]
+            poly_roots(PolyOverFp2(F, [5]), known_root=(4, 0))
+        assert poly_roots(PolyOverFp2(F, [3, 1]), known_root=(176, 0)) == [(176, 0)]
 
     def test_non_square_discriminant_rejected(self):
         # X^2 - s has no root in F_{p^2}: s is not a square there
         F = PrimeField(13)
-        f = poly_mul(PolyOverFp2.from_roots(F, [F.one]), PolyOverFp2(F, [(0, -1), 0, 1]))
+        f = poly_mul(PolyOverFp2.from_roots(F, [(1, 0)]), PolyOverFp2(F, [(0, -1), 0, 1]))
         with pytest.raises(ArithmeticError, match="not a square"):
-            poly_roots(f, known_root=F.one)
+            poly_roots(f, known_root=(1, 0))

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from isocycles import ff, ssgraph
-from isocycles.ff import PolyOverFp2, PrimeField, _sqrt_fp2, poly_roots
+from isocycles.ff import PolyOverFp2, _sqrt_fp2, poly_roots
 from isocycles.modpoly import instantiate, load_modular_polynomial
 from isocycles.ssgraph import build_graph, initial_supersingular_j, vertex_count_formula
 from oracles import loop_count
@@ -22,14 +22,14 @@ class TestVertexCountFormula:
 
 class TestSeed:
     def test_179_gives_1728(self):
-        assert initial_supersingular_j(179) == PrimeField(179).elem(1728)
+        assert initial_supersingular_j(179) == (1728 % 179, 0)
 
     def test_23_prefers_1728_branch(self):
         # 23 = 3 mod 4 is checked before 23 = 2 mod 3
-        assert initial_supersingular_j(23) == PrimeField(23).elem(1728)
+        assert initial_supersingular_j(23) == (1728 % 23, 0)
 
     def test_5_gives_0(self):
-        assert initial_supersingular_j(5) == PrimeField(5).zero
+        assert initial_supersingular_j(5) == (0, 0)
 
     def test_cm_seed_for_1_mod_12(self):
         # p = 13: neither congruence branch applies; closure must still censor
@@ -51,7 +51,7 @@ class TestSeed:
 class TestBuild179(object):
     def test_vertex_set_at_179(self, g179):
         F = g179.field
-        i = poly_roots(PolyOverFp2(F, [1, 0, 1]))[0]
+        i = F.elem(*poly_roots(PolyOverFp2(F, [1, 0, 1]))[0])
         rational = [0, 1728, 22, 35, 61, 112, 120, 121, 140, 171]
         expected = {F.elem(v) for v in rational}
         for a, b in [(5, 64), (107, 99), (109, 5)]:  # j1, j2, j3
@@ -159,9 +159,28 @@ class TestAgainstGeneralRootFinder:
         for v in g.vertices:
             row = {}
             for w in poly_roots(instantiate(phi, v, g.field)):
-                row[g.vertex_index[w]] = row.get(g.vertex_index[w], 0) + 1
+                k = g.vertex_index[g.field.elem(*w)]
+                row[k] = row.get(k, 0) + 1
             expected.append(row)
         assert g.adjacency == expected
+
+
+class TestPairsThroughTheBuild:
+    @pytest.mark.parametrize("p,ell", [(20029, 2), (3229, 3), (179, 2)])
+    def test_elements_built_only_for_the_vertex_list(self, monkeypatch, p, ell):
+        # the seed, poly_roots and the BFS run on (a, b) pairs: an element is
+        # built once per vertex for IsogenyGraph.vertices, plus the lookups
+        # of 0 and 1728 in _validate when p = 1 mod 12
+        built = []
+        init = ff.QuadExtElement.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ff.QuadExtElement, "__init__", counting)
+        g = build_graph(p, ell)
+        assert len(built) == g.vertex_count + (2 if p % 12 == 1 else 0)
 
 
 class TestExport:

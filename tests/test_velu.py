@@ -48,9 +48,9 @@ def _mul(k, P, a):
 def _random_point(F, a, b, rng):
     while True:
         x = F.elem(rng.randrange(F.p), rng.randrange(F.p))
-        ys = poly_roots(PolyOverFp2(F, [-(x * x * x + a * x + b), 0, 1]))
+        ys = poly_roots(PolyOverFp2(F, [(-(x * x * x + a * x + b)).key(), 0, 1]))
         if ys:
-            return x, ys[0]
+            return x, F.elem(*ys[0])
 
 
 def _j(a, b):
