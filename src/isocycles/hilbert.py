@@ -26,9 +26,10 @@ builds the ell = 2 graph for the supersingular vertex set.  When p neither
 divides the conductor of D nor splits in its field, Deuring's reduction
 theorem puts every root of H_D mod p among those vertices; dividing H_D mod
 p by (X - v) over them finds the roots with multiplicity, and a remainder
-other than 1 refutes the premise.  Two roots u, v are adjacent
-when Phi_ell(u, v) = 0, and a bounded depth-first search threads the roots
-into the rim cycles.
+other than 1 refutes the premise.  Two roots u, v are joined by as many
+edges as v's multiplicity as a root of Phi_ell(X, u), and a bounded
+depth-first search threads the roots into rim cycles that do not backtrack
+(away from j = 0 and 1728, where the turn is not checked).
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ from . import quadform
 # every module that imports it, and
 # perfbench/tests/test_perfbench.py::test_tracer_wraps_imported_names_and_restores
 # asserts hilbert.poly_roots is ff.poly_roots.
-from .ff import (MAX_ROOT_DEGREE, PolyOverFp2, PrimeField, _deflate, _divide_out_root,
-                 kronecker_symbol, poly_roots)
+from .ff import MAX_ROOT_DEGREE, PolyOverFp2, PrimeField, _deflate, kronecker_symbol, poly_roots
 from .modpoly import instantiate_pairs, reduce_mod_p, resolve_modular_polynomial
 
 MAX_ABS_DISC = 10**5
@@ -294,7 +294,9 @@ def locate_rim_vertices(D, p: int, ell: int, *, modpoly_dir: str | None = None) 
     vertices v; H_D mod p is divided by (X - v) for each in turn and must
     deflate to 1.  The roots (with multiplicity) are decomposed into h/r
     cyclic vertex sequences of length r, the order of the class above ell,
-    with consecutive vertices u, v adjacent: Phi_ell(u, v) = 0.  Output
+    with consecutive vertices u, v adjacent, Phi_ell(u, v) = 0, and for
+    r >= 3 no turn u -> v -> u over a single edge unless v is j = 0 or
+    1728.  Output
     cycles are canonicalized up to rotation and reversal, preferring
     lexicographically least starting vertices.  Errors name the inputs,
     those of the graph build name build_graph.
@@ -360,15 +362,21 @@ def _thread_rims(disc, p, phi, graph):
 
     # The search runs on the distinct roots, numbered in vertex order, which
     # is the order of their (a, b) keys since graph.vertices is sorted.
+    # rows[k] maps each root adjacent to root k to its edge multiplicity,
+    # its multiplicity as a root of Phi_ell(X, keys[k]).
     ids = sorted(count)
     keys = [graph.vertices[i].key() for i in ids]
-    rows = reduce_mod_p(phi, p)
-    neighbours = []
+    phi_rows = reduce_mod_p(phi, p)
+    rows = []
     for u in keys:
-        f = instantiate_pairs(rows, u, p, n)
-        neighbours.append([k for k, v in enumerate(keys)
-                           if _divide_out_root(f, v, p, n)[1] == (0, 0)])
-    cycles = _thread_cycles([count[i] for i in ids], neighbours, r)
+        f, row = instantiate_pairs(phi_rows, u, p, n), {}
+        for k, v in enumerate(keys):
+            m, f = _deflate(f, v, p, n)
+            if m:
+                row[k] = m
+        rows.append(row)
+    free = {k for k, v in enumerate(keys) if v in ((0, 0), (1728 % p, 0))}
+    cycles = _thread_cycles([count[i] for i in ids], rows, r, free)
     if cycles is None:
         raise ValueError(
             f"no consistent threading of the roots of H_{disc.value} into "
@@ -378,17 +386,26 @@ def _thread_rims(disc, p, phi, graph):
             for cyc in sorted(_canonical_cycle(c) for c in cycles)]
 
 
-def _thread_cycles(multiplicities: list[int], neighbours: list[list[int]], r: int):
-    """Split a multiset of roots into closed walks of length r, or None.
+def _thread_cycles(multiplicities: list[int], rows: list[dict[int, int]], r: int,
+                   free: set[int]):
+    """Split a multiset of roots into non-backtracking closed walks of length r, or None.
 
-    Root k occurs multiplicities[k] times; neighbours[k] lists the roots
-    adjacent to k in increasing order.  The depth-first search makes at
-    most THREADING_BUDGET extension steps and raises past them.
+    Root k occurs multiplicities[k] times; rows[k] maps each root adjacent
+    to k, in increasing order, to the number of edges from k to it.  For
+    r >= 3 a turn u -> v -> u (a loop taken twice when u = v) backtracks
+    unless v has at least two edges to u.  The turn is not checked at the
+    roots in `free`, j = 0 and 1728: their extra automorphisms break the
+    pairing of each edge with one dual, so the rule there is left open.
+    The depth-first search makes at most
+    THREADING_BUDGET extension steps and raises past them.
     """
     remaining = list(multiplicities)
     cycles: list[tuple] = []
     failed = set()  # multiplicity vectors from which no threading exists
     steps = 0
+
+    def backtracks(u, v, w):
+        return w == u and v not in free and rows[v][u] < 2
 
     def solve():
         state = tuple(remaining)
@@ -415,15 +432,17 @@ def _thread_cycles(multiplicities: list[int], neighbours: list[list[int]], r: in
                 f"exceeded the search budget of {THREADING_BUDGET} steps"
             )
         if len(path) == r:
-            if path[0] not in neighbours[path[-1]]:
+            if path[0] not in rows[path[-1]] or r >= 3 and (
+                    backtracks(path[-2], path[-1], path[0])
+                    or backtracks(path[-1], path[0], path[1])):
                 return False
             cycles.append(tuple(path))
             if solve():
                 return True
             cycles.pop()
             return False
-        for k in neighbours[path[-1]]:
-            if not remaining[k]:
+        for k in rows[path[-1]]:
+            if not remaining[k] or len(path) > 1 and backtracks(path[-2], path[-1], k):
                 continue
             remaining[k] -= 1
             path.append(k)

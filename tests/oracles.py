@@ -159,8 +159,8 @@ def rims_on_ell_graph(D: int, graph) -> list[tuple]:
     """`locate_rim_vertices` by the route that builds the ell-graph.
 
     The roots of H_D mod p come from the general splitting, and membership
-    and adjacency from `graph`, built by `build_graph(p, ell)`.  Only the
-    threading search and the canonical form are the program's.
+    and edge multiplicities from `graph`, built by `build_graph(p, ell)`.
+    Only the threading search and the canonical form are the program's.
     """
     disc = quadform.Discriminant(D)
     r = quadform.form_order(disc, quadform.prime_form(disc, graph.ell))
@@ -169,9 +169,11 @@ def rims_on_ell_graph(D: int, graph) -> list[tuple]:
         i = graph.vertex_index[graph.field.elem(*v)]
         count[i] = count.get(i, 0) + 1
     ids = sorted(count)
-    neighbours = [[k for k, j in enumerate(ids) if graph.adjacency[i].get(j, 0) > 0]
-                  for i in ids]
-    cycles = hilbert._thread_cycles([count[i] for i in ids], neighbours, r)
+    rows = [{k: graph.adjacency[i][j] for k, j in enumerate(ids) if j in graph.adjacency[i]}
+            for i in ids]
+    free = {k for k, i in enumerate(ids)
+            if graph.vertices[i].key() in ((0, 0), (1728 % graph.p, 0))}
+    cycles = hilbert._thread_cycles([count[i] for i in ids], rows, r, free)
     return [tuple(graph.vertices[ids[k]] for k in cyc)
             for cyc in sorted(hilbert._canonical_cycle(c) for c in cycles)]
 

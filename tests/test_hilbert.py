@@ -83,20 +83,25 @@ CORPUS_ORDERS = {(179, 3): 49, (613, 3): 13, (1009, 3): 12, (3361, 2): 11,
 # number, 45, listed at level 9: each cycle as its vertex labels
 PINNED_CYCLES_179 = {
     -1319: [
-        "5+10*s 61 5+10*s 61 5+169*s 107+102*s 109+16*s 109+163*s 107+77*s",
+        "5+10*s 61 5+169*s 107+102*s 109+16*s 109+163*s 171 120 140",
+        "5+10*s 61 5+169*s 140 120 171 109+16*s 109+163*s 107+77*s",
         "5+10*s 61 121 112 35 112 35 120 140",
         "5+169*s 61 121 112 35 112 35 120 140",
-        "5+169*s 140 120 171 109+16*s 109+163*s 171 120 140",
         "22 107+77*s 109+163*s 171 109+16*s 107+102*s 22 117 117",
     ],
     -2039: [
         "0 121 61 5+10*s 140 120 35 112 121",
-        "0 121 61 5+10*s 140 120 35 112 121",
+        "0 121 61 5+169*s 140 120 35 112 121",
         "5+10*s 61 5+169*s 107+102*s 22 117 117 22 107+77*s",
-        "5+169*s 107+102*s 109+16*s 109+163*s 171 120 140 5+169*s 140",
-        "107+77*s 109+163*s 109+16*s 171 109+16*s 171 120 171 109+163*s",
+        "5+10*s 107+77*s 109+163*s 171 109+16*s 109+163*s 171 120 140",
+        "5+169*s 107+102*s 109+16*s 171 109+163*s 109+16*s 171 120 140",
     ],
 }
+
+# (p, ell, levels): locate for every order listed at its own level prints
+# 228 cycles here; the rims-locate orders, and p = 409, 613, 1009 at ell = 2
+TURN_SWEEP = [(179, 2, range(3, 10)), (1009, 3, range(3, 4)), (409, 2, range(3, 9)),
+              (613, 2, range(3, 9)), (37, 3, range(3, 6)), (1009, 2, range(3, 9))]
 
 
 def as_mpc(z, precision):
@@ -405,6 +410,45 @@ class TestLocate:
                     assert [" ".join(map(str, c)) for c in cycles] == PINNED_CYCLES_179[D]
         assert seen == len(PINNED_CYCLES_179)
 
+    def test_printed_cycles_do_not_backtrack(self):
+        # a turn u -> v -> u (a loop taken twice when u = v) needs two edges
+        # from v to u in the ell-graph; the rule is not checked where v is
+        # j = 0 or 1728
+        printed = 0
+        for p, ell, levels in TURN_SWEEP:
+            g = build_graph(p, ell)
+            exempt = {g.vertex_index.get(g.field.elem(j)) for j in (0, 1728)}
+            for r in levels:
+                for rec in enumerate_orders(r, p, ell):
+                    if rec.l_order != r:
+                        continue
+                    D = rec.discriminant.value
+                    cycles = locate_rim_vertices(D, p, ell)
+                    for cyc in cycles:
+                        c = [g.vertex_index[v] for v in cyc]
+                        for t in range(r):
+                            u, v, w = c[t - 2], c[t - 1], c[t]
+                            assert g.adjacency[v].get(w, 0) > 0, (p, ell, D, cyc)
+                            assert w != u or v in exempt or g.adjacency[v][u] >= 2, \
+                                (p, ell, D, cyc)
+                    printed += len(cycles)
+        assert printed == 228
+
+    @pytest.mark.parametrize("D,p,expected", [
+        # the closing turn 121 -> 361 -> 121 of the walk
+        # (121, 161+159*s, 207+292*s, 207+117*s, 161+250*s, 121, 361) crosses
+        # the single edge 121-361, so it is not printed
+        (-503, 409, ["0+52*s 59+228*s 207+292*s 161+159*s 121 361 216+54*s",
+                     "0+357*s 59+181*s 207+117*s 161+250*s 121 361 216+355*s",
+                     "80+190*s 80+219*s 201+186*s 380+134*s 340 380+275*s 201+223*s"]),
+        # nor (109+16*s, 109+163*s, 171, 120, 140, 120, 171), whose turn
+        # 120 -> 140 -> 120 crosses the single edge 120-140
+        (-511, 179, ["5+10*s 107+77*s 109+163*s 109+16*s 171 120 140",
+                     "5+169*s 107+102*s 109+16*s 109+163*s 171 120 140"]),
+    ])
+    def test_backtracking_walks_replaced(self, D, p, expected):
+        assert [" ".join(map(str, c)) for c in locate_rim_vertices(D, p, 2)] == expected
+
     def test_errors_name_stage_and_inputs(self):
         with pytest.raises(ValueError, match=r"^locate_rim_vertices\(D=-23, p=179, ell=2\): "
                            r".*splits in the field"):
@@ -445,10 +489,11 @@ class TestLocate:
                 locate_rim_vertices(-47, 179, 2)
 
     def test_threading_stops_at_its_budget(self, monkeypatch):
-        # -1967 needs 30489 extension steps at (179, 2), the most in the corpus
+        # -1967 needs 924 extension steps at (179, 2); -1319 needs the most
+        # in the corpus, 2093
         locate_rim_vertices(-1967, 179, 2)
-        monkeypatch.setattr(hilbert, "THREADING_BUDGET", 30000)
+        monkeypatch.setattr(hilbert, "THREADING_BUDGET", 900)
         with pytest.raises(ArithmeticError, match=r"^locate_rim_vertices\(D=-1967, p=179, "
                            r"ell=2\): threading 36 roots into cycles of length 9 exceeded "
-                           r"the search budget of 30000 steps$"):
+                           r"the search budget of 900 steps$"):
             locate_rim_vertices(-1967, 179, 2)
