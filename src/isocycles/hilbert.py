@@ -201,15 +201,14 @@ def _precision_for(forms) -> int:
     return math.ceil(height / math.log(2)) + 64
 
 
-def _expand_at(forms, D, precision):
+def _expand_at(forms, precision):
     """Integer coefficients and rounding residual at one working precision.
 
     Only the forms with b >= 0 are evaluated.  Where b = 0, a = b or a = c,
     j is real; every other (a, b, c) also stands for (a, -b, c), whose j is
     the complex conjugate, so the pair gives X^2 - 2 Re(j) X + |j|^2.  The
     expansion is real, in fixed point at precision + _GUARD_BITS fractional
-    bits; the residual also takes |Im j| at the real j.  D is the
-    discriminant of `forms`.
+    bits; the residual also takes |Im j| at the real j.
     """
     bits = precision + _GUARD_BITS
     one = 1 << bits
@@ -251,7 +250,7 @@ def _class_poly_cached(D: int) -> ClassPolynomial:
     for retry in range(_MAX_RETRIES + 1):
         if retry:
             precision *= 2
-        coeffs, residual = _expand_at(forms, D, precision)
+        coeffs, residual = _expand_at(forms, precision)
         if residual < 0.25:
             return ClassPolynomial(disc, tuple(coeffs))
         if 2 * precision > MAX_PRECISION_BITS:

@@ -142,16 +142,9 @@ def compose(f1: BinaryQuadraticForm, f2: BinaryQuadraticForm) -> BinaryQuadratic
     a2, b2, c2 = f2.a, f2.b, f2.c
     s = (b1 + b2) // 2
     m = b2 - s
-    if a2 % a1 == 0:
-        y1, d = 0, a1
-    else:
-        u, _, d = _xgcd(a2, a1)
-        y1 = u
-    if s % d == 0:
-        y2, x2, d1 = -1, 0, d
-    else:
-        u, v, d1 = _xgcd(s, d)
-        x2, y2 = u, -v
+    y1, _, d = _xgcd(a2, a1)
+    x2, v, d1 = _xgcd(s, d)
+    y2 = -v
     v1 = a1 // d1
     v2 = a2 // d1
     r = (y1 * y2 * m - x2 * c2) % v1

@@ -237,7 +237,7 @@ class TestClassPoly:
         # and the residual must say so
         forms = reduced_forms(-2039)
         precision = hilbert._precision_for(forms) // 2
-        _, residual = hilbert._expand_at(forms, -2039, precision)
+        _, residual = hilbert._expand_at(forms, precision)
         assert residual >= 0.25
 
     def test_residual_counts_im_j_at_the_real_forms(self, monkeypatch):
@@ -253,7 +253,7 @@ class TestClassPoly:
 
         monkeypatch.setattr(hilbert, "j_evaluate", tilted)
         forms = reduced_forms(-71)
-        coeffs, residual = hilbert._expand_at(forms, -71, hilbert._precision_for(forms))
+        coeffs, residual = hilbert._expand_at(forms, hilbert._precision_for(forms))
         assert tuple(coeffs) == e4_delta_class_poly(-71)
         assert 0.5 <= residual < 0.5001
 
@@ -284,7 +284,7 @@ class TestClassPoly:
         # doublings stop after three retries or at the precision cap
         used = []
 
-        def noisy(forms, D, precision):
+        def noisy(forms, precision):
             used.append(precision)
             return [0] * (len(forms) + 1), 0.5
 
