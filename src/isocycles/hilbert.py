@@ -295,10 +295,9 @@ def locate_rim_vertices(D, p: int, ell: int, *, modpoly_dir: str | None = None) 
     cyclic vertex sequences of length r, the order of the class above ell,
     with consecutive vertices u, v adjacent, Phi_ell(u, v) = 0, and for
     r >= 3 no turn u -> v -> u over a single edge unless v is j = 0 or
-    1728.  Output
-    cycles are canonicalized up to rotation and reversal, preferring
-    lexicographically least starting vertices.  Errors name the inputs,
-    those of the graph build name build_graph.
+    1728.  Output cycles are canonicalized up to rotation and reversal,
+    preferring lexicographically least starting vertices.  Errors name the
+    inputs, those of the graph build name build_graph.
     """
     from . import ssgraph  # ssgraph imports this module for its CM seed
 
@@ -395,8 +394,8 @@ def _thread_cycles(multiplicities: list[int], rows: list[dict[int, int]], r: int
     unless v has at least two edges to u.  The turn is not checked at the
     roots in `free`, j = 0 and 1728: their extra automorphisms break the
     pairing of each edge with one dual, so the rule there is left open.
-    The depth-first search makes at most
-    THREADING_BUDGET extension steps and raises past them.
+    The depth-first search makes at most THREADING_BUDGET extension steps
+    and raises past them.
     """
     remaining = list(multiplicities)
     cycles: list[tuple] = []
