@@ -15,7 +15,6 @@ import tempfile
 
 from . import hilbert, nbwalk, ordercount, ssgraph
 from .ff import PRIMALITY_BOUND, is_prime
-from .modpoly import MODPOLY_ENV_VAR
 from .ordercount import MAX_N
 
 
@@ -33,8 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--ell", type=int, required=True, help="isogeny degree prime")
         sp.add_argument("--out", help="output path (written atomically)")
         if graph:
-            sp.add_argument("--modpoly-dir",
-                            help=f"directory with phi<ell>.txt files (or ${MODPOLY_ENV_VAR})")
+            sp.add_argument("--modpoly-dir", help="directory with phi<ell>.txt files")
 
     sp = sub.add_parser("graph", help="build the isogeny graph and export it")
     common(sp, p=True, ell=True, graph=True)

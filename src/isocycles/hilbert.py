@@ -45,7 +45,7 @@ from . import quadform
 # perfbench/tests/test_perfbench.py::test_tracer_wraps_imported_names_and_restores
 # asserts hilbert.poly_roots is ff.poly_roots.
 from .ff import MAX_ROOT_DEGREE, PolyOverFp2, PrimeField, _deflate, kronecker_symbol, poly_roots
-from .modpoly import instantiate_pairs, reduce_mod_p, resolve_modular_polynomial
+from .modpoly import instantiate, reduce_mod_p, resolve_modular_polynomial
 
 MAX_ABS_DISC = 10**5
 MAX_PRECISION_BITS = 8192
@@ -367,7 +367,7 @@ def _thread_rims(disc, p, phi, graph):
     phi_rows = reduce_mod_p(phi, p)
     rows = []
     for u in keys:
-        f, row = instantiate_pairs(phi_rows, u, p, n), {}
+        f, row = instantiate(phi_rows, u, p, n), {}
         for k, v in enumerate(keys):
             m, f = _deflate(f, v, p, n)
             if m:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import os
 
-from .ff import PolyOverFp2, PrimeField, QuadExtElement
-
 # Coefficients of the classical level-2 and level-3 modular polynomials,
 # keyed by exponent pair (i, j) with i >= j.
 _EMBEDDED = {
@@ -38,7 +36,6 @@ _EMBEDDED = {
     },
 }
 
-MODPOLY_ENV_VAR = "ISOCYCLES_MODPOLY_DIR"
 MAX_FILE_LEVEL = 13
 
 
@@ -107,36 +104,30 @@ def _parse_text(text: str) -> ModularPolynomial:
     return ModularPolynomial(level, coeffs)
 
 
-def load_modular_polynomial(level: int, source: str = "embedded") -> ModularPolynomial:
-    """Load Phi_level from the embedded table or from a file path."""
-    if source == "embedded":
-        if level not in _EMBEDDED:
-            raise ValueError(
-                f"no embedded modular polynomial for level {level}; provide a file"
-            )
-        return ModularPolynomial(level, _EMBEDDED[level])
-    if level > MAX_FILE_LEVEL:
-        raise ValueError(f"levels beyond {MAX_FILE_LEVEL} are out of scope")
-    with open(source, "r", encoding="utf-8") as fh:
-        poly = _parse_text(fh.read())
-    if poly.level != level:
-        raise ValueError(f"file declares level {poly.level}, expected {level}")
-    return poly
+def resolve_modular_polynomial(level: int, modpoly_dir: str | None) -> ModularPolynomial:
+    """Embedded for levels 2 and 3; otherwise phi<level>.txt from `modpoly_dir`.
 
-
-def resolve_modular_polynomial(level: int, modpoly_dir: str | None = None) -> ModularPolynomial:
-    """Embedded for levels 2 and 3; otherwise phi<level>.txt from a directory.
-
-    The directory defaults to the ISOCYCLES_MODPOLY_DIR environment variable.
+    A file that cannot be opened or read is refused with a ValueError
+    naming its path.
     """
     if level in _EMBEDDED:
-        return load_modular_polynomial(level, "embedded")
-    directory = modpoly_dir or os.environ.get(MODPOLY_ENV_VAR)
-    if not directory:
+        return ModularPolynomial(level, _EMBEDDED[level])
+    if not modpoly_dir:
         raise ValueError(
             f"level {level} is not embedded and no modular polynomial directory given"
         )
-    return load_modular_polynomial(level, os.path.join(directory, f"phi{level}.txt"))
+    if level > MAX_FILE_LEVEL:
+        raise ValueError(f"levels beyond {MAX_FILE_LEVEL} are out of scope")
+    path = os.path.join(modpoly_dir, f"phi{level}.txt")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+    poly = _parse_text(text)
+    if poly.level != level:
+        raise ValueError(f"file declares level {poly.level}, expected {level}")
+    return poly
 
 
 def reduce_mod_p(phi: ModularPolynomial, p: int) -> list[list[tuple[int, int]]]:
@@ -151,7 +142,7 @@ def reduce_mod_p(phi: ModularPolynomial, p: int) -> list[list[tuple[int, int]]]:
     return rows
 
 
-def instantiate_pairs(rows, v: tuple[int, int], p: int, n: int) -> list[tuple[int, int]]:
+def instantiate(rows, v: tuple[int, int], p: int, n: int) -> list[tuple[int, int]]:
     """Coefficient pairs of Phi_ell(X, v) for v = (a, b) in F_p(s), s^2 = n.
 
     `rows` comes from `reduce_mod_p`; the result is monic of degree ell + 1,
@@ -172,10 +163,3 @@ def instantiate_pairs(rows, v: tuple[int, int], p: int, n: int) -> list[tuple[in
         out.append((sa % p, sb % p))
     return out
 
-
-def instantiate(phi: ModularPolynomial, j_value: QuadExtElement, field: PrimeField) -> PolyOverFp2:
-    """The univariate polynomial Phi_ell(X, j) over F_{p^2}, degree ell + 1."""
-    if j_value.field != field:
-        raise ValueError("j-invariant does not live in the given field")
-    rows = reduce_mod_p(phi, field.p)
-    return PolyOverFp2(field, instantiate_pairs(rows, j_value.key(), field.p, field.non_residue))

@@ -15,7 +15,7 @@ import json
 from . import hilbert
 from .ff import (PolyOverFp2, PrimeField, QuadExtElement, is_prime, kronecker_symbol,
                  next_prime, poly_roots)
-from .modpoly import instantiate_pairs, reduce_mod_p, resolve_modular_polynomial
+from .modpoly import instantiate, reduce_mod_p, resolve_modular_polynomial
 
 MAX_GRAPH_PRIME = 2 * 10**5
 _SEED_SEARCH_LIMIT = 1000
@@ -148,7 +148,7 @@ def _build(p, ell, modpoly_dir):
     while frontier:
         nxt = []
         for v in frontier:
-            f = PolyOverFp2(field, instantiate_pairs(rows, v, p, n))
+            f = PolyOverFp2(field, instantiate(rows, v, p, n))
             roots = poly_roots(f, known_root=parent[v] if ell == 2 else None)
             if PolyOverFp2.from_roots(field, roots) != f:
                 raise ArithmeticError(

@@ -220,7 +220,7 @@ def loop_count(graph, j: int) -> int:
 
 
 def modpoly_text(phi) -> str:
-    """`phi` in the phi<ell>.txt format that `load_modular_polynomial` reads."""
+    """`phi` in the phi<ell>.txt format that `resolve_modular_polynomial` reads."""
     lines = [f"ell={phi.level}"]
     for (i, j) in sorted(phi.coefficients, reverse=True):
         lines.append(f"{i} {j} {phi.coefficients[(i, j)]}")

@@ -21,14 +21,11 @@ import isocycles
 SRC = Path(isocycles.__file__).parent
 
 # Names the benchmark in perfbench/ needs, with where it needs them.  Only
-# the first three are unreferenced in the program today; the scan skips dunders
+# the first two are unreferenced in the program today; the scan skips dunders
 # and finds the other three used, and they are listed so that a change
 # removing that use keeps them.  They go with the benchmark repair (ROADMAP
 # item 0).
 PINNED = {
-    "modpoly.instantiate": "perfbench/spans.py: Tracer.__enter__ looks up every SPANS name "
-                           "with getattr and no default (perfbench/tests/test_perfbench.py::"
-                           "test_tracer_wraps_imported_names_and_restores, run.py --trace 1)",
     "nbwalk.NonBacktrackingOperator.dimension": "perfbench/spans.py: _counts_for reads "
                                                 ".dimension off each build_nb_operator result",
     "ordercount.EpsilonValue.kind": "perfbench/spans.py: _counts_for reads .kind off each "

@@ -227,8 +227,6 @@ class TestLocateCommand:
         def forbidden(*args, **kwargs):
             raise AssertionError("called before the refusal")
 
-        monkeypatch.delenv("ISOCYCLES_MODPOLY_DIR", raising=False)
-
         monkeypatch.setattr(ssgraph, "build_graph", forbidden)
         monkeypatch.setattr(hilbert, "_class_poly_cached", forbidden)
         code, _, err = run(capsys, "locate", "--disc", str(disc), "--p", str(p),
@@ -309,6 +307,24 @@ class TestModpolyDir:
             main(argv + flag)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make_dir,reason", [
+        (False, "No such file or directory"),
+        (True, "Is a directory"),
+    ], ids=["missing", "directory"])
+    @pytest.mark.parametrize("argv,where", [
+        (["graph", "--p", "101", "--ell", "5"], "build_graph(p=101, ell=5)"),
+        (["locate", "--disc", "-31", "--p", "101", "--ell", "5"],
+         "locate_rim_vertices(D=-31, p=101, ell=5)"),
+    ], ids=["graph", "locate"])
+    def test_unreadable_file_is_refused(self, capsys, tmp_path, argv, where, make_dir, reason):
+        path = tmp_path / "phi5.txt"
+        if make_dir:
+            path.mkdir()
+        code, stdout, err = run(capsys, *argv, "--modpoly-dir", str(tmp_path))
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: {where}: cannot read {path}: {reason}\n"
 
 
 class TestDeterminism:

@@ -383,7 +383,6 @@ class TestLocate:
         def forbidden(*args, **kwargs):
             raise AssertionError("called before the refusal")
 
-        monkeypatch.delenv("ISOCYCLES_MODPOLY_DIR", raising=False)
         monkeypatch.setattr(ssgraph, "build_graph", forbidden)
         monkeypatch.setattr(hilbert, "_class_poly_cached", forbidden)
         with pytest.raises(ValueError) as exc:

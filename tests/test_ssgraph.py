@@ -4,7 +4,7 @@ import pytest
 
 from isocycles import ff, ssgraph
 from isocycles.ff import PolyOverFp2, _sqrt_fp2, poly_roots
-from isocycles.modpoly import instantiate, load_modular_polynomial
+from isocycles.modpoly import instantiate, reduce_mod_p, resolve_modular_polynomial
 from isocycles.ssgraph import build_graph, initial_supersingular_j, vertex_count_formula
 from oracles import loop_count
 
@@ -124,8 +124,7 @@ class TestBuildErrors:
         with pytest.raises(ValueError):
             build_graph(2 * 10**5 + 3, 2)
 
-    def test_missing_modular_polynomial(self, monkeypatch):
-        monkeypatch.delenv("ISOCYCLES_MODPOLY_DIR", raising=False)
+    def test_missing_modular_polynomial(self):
         with pytest.raises(ValueError, match="not embedded"):
             build_graph(179, 5)
 
@@ -154,11 +153,12 @@ class TestAgainstGeneralRootFinder:
         # the parent-deflation builder against poly_roots at every vertex;
         # 613 = 1 mod 12 has a half-loop, 1013, 1031, 1039 cover 5, 11, 7 mod 12
         g = build_graph(p, 2)
-        phi = load_modular_polynomial(2)
+        rows = reduce_mod_p(resolve_modular_polynomial(2, None), p)
         expected = []
         for v in g.vertices:
             row = {}
-            for w in poly_roots(instantiate(phi, v, g.field)):
+            f = PolyOverFp2(g.field, instantiate(rows, v.key(), p, g.field.non_residue))
+            for w in poly_roots(f):
                 k = g.vertex_index[g.field.elem(*w)]
                 row[k] = row.get(k, 0) + 1
             expected.append(row)
