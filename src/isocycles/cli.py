@@ -2,7 +2,8 @@
 
 Every command is deterministic; identical inputs produce byte-identical
 outputs.  The payload goes to --out or to stdout; summary lines go to
-stderr.  Exit status 0 iff all requested verdicts pass, 2 on refused input.
+stderr.  Exit status 0 iff all requested verdicts pass, 2 on refused input,
+an --out that cannot be written among them.
 """
 
 from __future__ import annotations
@@ -81,6 +82,13 @@ def _validate(args):
     for flag, value in (("--r", getattr(args, "r", None)), ("--N", getattr(args, "N", None))):
         if value is not None and not (3 <= value <= MAX_N):
             raise ValueError(f"{flag} must be within 3..{MAX_N}")
+    out = args.out
+    if out is not None:
+        if os.path.isdir(out):
+            raise ValueError(f"--out {out}: is a directory")
+        directory = os.path.dirname(os.path.abspath(out))
+        if not os.path.isdir(directory):
+            raise ValueError(f"--out {out}: no directory {directory}")
 
 
 def _write(text: str, out_path: str | None):
@@ -216,7 +224,11 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write(text, args.out)
+    try:
+        _write(text, args.out)
+    except OSError as exc:
+        print(f"error: --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
     return 0 if ok else 1
 
 

@@ -286,12 +286,12 @@ def locate_rim_vertices(D, p: int, ell: int, *, modpoly_dir: str | None = None) 
 
     First, before any class polynomial or graph, it refuses a class number
     over the root-finding cap, an ell whose Phi_ell is neither embedded nor
-    in `modpoly_dir`, an ell that does not split in D (no class above ell),
-    and a p that divides the conductor or splits in the field (Deuring's
-    conditions for supersingular roots).  The ell = 2 graph, the cheapest
-    build that certifies the supersingular vertex set, then supplies the
-    vertices v; H_D mod p is divided by (X - v) for each in turn and must
-    deflate to 1.  The roots (with multiplicity) are decomposed into h/r
+    readable from `modpoly_dir`, an ell that does not split in D (no class
+    above ell), a p that divides the conductor or splits in the field
+    (Deuring's conditions for supersingular roots), and |D| over the class
+    polynomial cap.  The ell = 2 graph, the cheapest build that certifies
+    the supersingular vertex set, then supplies the vertices v; H_D mod p
+    is divided by (X - v) for each in turn and must deflate to 1.  The roots (with multiplicity) are decomposed into h/r
     cyclic vertex sequences of length r, the order of the class above ell,
     with consecutive vertices u, v adjacent, Phi_ell(u, v) = 0, and for
     r >= 3 no turn u -> v -> u over a single edge unless v is j = 0 or
@@ -319,6 +319,8 @@ def locate_rim_vertices(D, p: int, ell: int, *, modpoly_dir: str | None = None) 
                 f"p={p} splits in the field of discriminant {disc.value}; the "
                 "reductions of its class polynomial roots are not supersingular"
             )
+        if -disc.value > MAX_ABS_DISC:
+            raise ValueError(f"|D| = {-disc.value} exceeds cap {MAX_ABS_DISC}")
     graph = ssgraph.build_graph(p, 2)
     with _named_errors(D, p, ell):
         return _thread_rims(disc, p, phi, graph)

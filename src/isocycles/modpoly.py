@@ -107,8 +107,8 @@ def _parse_text(text: str) -> ModularPolynomial:
 def resolve_modular_polynomial(level: int, modpoly_dir: str | None) -> ModularPolynomial:
     """Embedded for levels 2 and 3; otherwise phi<level>.txt from `modpoly_dir`.
 
-    A file that cannot be opened or read is refused with a ValueError
-    naming its path.
+    A file that cannot be opened, read or decoded as UTF-8 is refused with a
+    ValueError naming its path.
     """
     if level in _EMBEDDED:
         return ModularPolynomial(level, _EMBEDDED[level])
@@ -124,6 +124,8 @@ def resolve_modular_polynomial(level: int, modpoly_dir: str | None) -> ModularPo
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {path}: not UTF-8 at byte {exc.start}") from None
     poly = _parse_text(text)
     if poly.level != level:
         raise ValueError(f"file declares level {poly.level}, expected {level}")

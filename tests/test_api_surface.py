@@ -187,3 +187,21 @@ def test_pinned_parameters_are_defined():
                for q, fn, is_method in _functions(module, tree)
                for _, name in _defaulted(fn, is_method)}
     assert set(PINNED_PARAMETERS) <= defined
+
+
+def environment_reads() -> list[str]:
+    """`module:line` of each read of `os.environ` or call of `getenv` in the program."""
+    found = []
+    for module, tree in _modules():
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in ("environ", "getenv"):
+                found.append(f"{module}:{getattr(node, 'lineno', '?')}")
+    return found
+
+
+def test_the_program_reads_no_environment_variable():
+    # settings come from the command line only
+    assert environment_reads() == []

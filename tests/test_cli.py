@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from isocycles import hilbert, ordercount, ssgraph
+from isocycles import cli, hilbert, ordercount, ssgraph
 from isocycles.cli import main
 from oracles import rims_on_ell_graph
 
@@ -308,23 +308,52 @@ class TestModpolyDir:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("make_dir,reason", [
-        (False, "No such file or directory"),
-        (True, "Is a directory"),
-    ], ids=["missing", "directory"])
+    @pytest.mark.parametrize("make,reason", [
+        (lambda path: None, "No such file or directory"),
+        (lambda path: path.mkdir(), "Is a directory"),
+        (lambda path: path.write_bytes(b"ell=5\n\xff 0 1\n"), "not UTF-8 at byte 6"),
+    ], ids=["missing", "directory", "non-utf8"])
     @pytest.mark.parametrize("argv,where", [
         (["graph", "--p", "101", "--ell", "5"], "build_graph(p=101, ell=5)"),
         (["locate", "--disc", "-31", "--p", "101", "--ell", "5"],
          "locate_rim_vertices(D=-31, p=101, ell=5)"),
     ], ids=["graph", "locate"])
-    def test_unreadable_file_is_refused(self, capsys, tmp_path, argv, where, make_dir, reason):
+    def test_unreadable_file_is_refused(self, capsys, tmp_path, argv, where, make, reason):
         path = tmp_path / "phi5.txt"
-        if make_dir:
-            path.mkdir()
+        make(path)
         code, stdout, err = run(capsys, *argv, "--modpoly-dir", str(tmp_path))
         assert code == 2
         assert stdout == ""
         assert err == f"error: {where}: cannot read {path}: {reason}\n"
+
+
+class TestOut:
+    @pytest.mark.parametrize("name,reason", [
+        ("missing/g.json", "no directory {tmp}/missing"),
+        (".", "is a directory"),
+    ], ids=["missing-directory", "directory"])
+    def test_refused_before_any_work(self, capsys, monkeypatch, tmp_path, name, reason):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("built a graph before the --out refusal")
+
+        monkeypatch.setattr(ssgraph, "build_graph", forbidden)
+        out = f"{tmp_path}/{name}"
+        code, stdout, err = run(capsys, "graph", "--p", "179", "--ell", "2", "--out", out)
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: --out {out}: {reason.format(tmp=tmp_path)}\n"
+
+    def test_failed_write_is_refused_with_its_reason(self, capsys, monkeypatch, tmp_path):
+        def denied(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(cli.tempfile, "mkstemp", denied)
+        out = tmp_path / "b.json"
+        code, stdout, err = run(capsys, "bound", "--N", "5", "--ell", "2", "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err.endswith(f"error: --out {out}: Permission denied\n")
+        assert not out.exists()
 
 
 class TestDeterminism:

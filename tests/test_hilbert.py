@@ -378,6 +378,8 @@ class TestLocate:
         (179, 2, -3, "2 does not split in discriminant -3"),
         (13, 2, -1183, "p=13 divides the conductor of -1183"),
         (179, 5, -31, "level 5 is not embedded and no modular polynomial directory given"),
+        # h(-100787) = 51, 3 splits, 150001 is inert: only the cap refuses it
+        (150001, 3, -100787, "|D| = 100787 exceeds cap 100000"),
     ])
     def test_input_refusals_before_any_work(self, monkeypatch, p, ell, disc, message):
         def forbidden(*args, **kwargs):

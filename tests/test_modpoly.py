@@ -160,16 +160,15 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="no modular polynomial directory"):
             resolve_modular_polynomial(17, None)
 
-    def test_missing_file_named(self, tmp_path):
+    @pytest.mark.parametrize("make,reason", [
+        (lambda path: None, "No such file or directory"),
+        (lambda path: path.mkdir(), "Is a directory"),
+        (lambda path: path.write_bytes(b"ell=5\n\xff 0 1\n"), "not UTF-8 at byte 6"),
+    ], ids=["missing", "directory", "non-utf8"])
+    def test_unreadable_file_named(self, tmp_path, make, reason):
         path = tmp_path / "phi5.txt"
-        with pytest.raises(ValueError,
-                           match=f"^{re.escape(f'cannot read {path}')}: No such file or directory$"):
-            resolve_modular_polynomial(5, str(tmp_path))
-
-    def test_directory_in_place_of_the_file_named(self, tmp_path):
-        path = tmp_path / "phi5.txt"
-        path.mkdir()
-        with pytest.raises(ValueError, match=f"^{re.escape(f'cannot read {path}')}: Is a directory$"):
+        make(path)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'cannot read {path}: {reason}')}$"):
             resolve_modular_polynomial(5, str(tmp_path))
 
 
