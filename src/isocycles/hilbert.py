@@ -291,11 +291,12 @@ def locate_rim_vertices(D, p: int, ell: int, *, modpoly_dir: str | None = None) 
     (Deuring's conditions for supersingular roots), and |D| over the class
     polynomial cap.  The ell = 2 graph, the cheapest build that certifies
     the supersingular vertex set, then supplies the vertices v; H_D mod p
-    is divided by (X - v) for each in turn and must deflate to 1.  The roots (with multiplicity) are decomposed into h/r
-    cyclic vertex sequences of length r, the order of the class above ell,
-    with consecutive vertices u, v adjacent, Phi_ell(u, v) = 0, and for
-    r >= 3 no turn u -> v -> u over a single edge unless v is j = 0 or
-    1728.  Output cycles are canonicalized up to rotation and reversal,
+    is divided by (X - v) for each in turn and must deflate to 1.  The
+    roots (with multiplicity) are decomposed into h/r cyclic vertex
+    sequences of length r, the order of the class above ell, with
+    consecutive vertices u, v adjacent, Phi_ell(u, v) = 0, and for r >= 3
+    no turn u -> v -> u over a single edge unless v is j = 0 or 1728.
+    Output cycles are canonicalized up to rotation and reversal,
     preferring lexicographically least starting vertices.  Errors name the
     inputs, those of the graph build name build_graph.
     """

@@ -148,6 +148,9 @@ class TestFileFormat:
         (tmp_path / "phi17.txt").write_text("ell=17\n", encoding="utf-8")
         with pytest.raises(ValueError, match="out of scope"):
             resolve_modular_polynomial(17, str(tmp_path))
+        # with no directory, that refusal comes first
+        with pytest.raises(ValueError, match="no modular polynomial directory"):
+            resolve_modular_polynomial(17, None)
 
     def test_resolve_via_directory(self, tmp_path):
         (tmp_path / "phi5.txt").write_text(modpoly_text(FAKE5), encoding="utf-8")
@@ -155,10 +158,6 @@ class TestFileFormat:
         assert got.coefficients == FAKE5.coefficients
         with pytest.raises(ValueError, match="no modular polynomial directory"):
             resolve_modular_polynomial(5, None)
-
-    def test_missing_directory_refused_before_the_level_cap(self):
-        with pytest.raises(ValueError, match="no modular polynomial directory"):
-            resolve_modular_polynomial(17, None)
 
     @pytest.mark.parametrize("make,reason", [
         (lambda path: None, "No such file or directory"),
