@@ -432,30 +432,15 @@ def _split_linear(g, p, n):
         w = _padd_const(w, (-1, 0), p)
         d = _pgcd(g, w, p, n)
         if 0 < len(d) - 1 < len(g) - 1:
-            q = _pquo(g, d, p, n)
-            return _split_linear(d, p, n) + _split_linear(q, p, n)
+            roots = _split_linear(d, p, n)
+            for root in roots:
+                g, _ = _divide_out_root(g, root, p, n)
+            return roots + _split_linear(g, p, n)
     raise ArithmeticError(
         f"poly_roots(p={p}): no splitting candidate separates the roots of a "
         f"degree-{len(g) - 1} factor; it does not split into distinct linear "
         f"factors over F_(p^2)"
     )
-
-
-def _pquo(u, f, p, n):
-    """Quotient of u by monic f, assuming exact division."""
-    r = list(u)
-    df = len(f) - 1
-    q = [(0, 0)] * (len(r) - df)
-    while len(r) - 1 >= df:
-        a, b = r[-1]
-        shift = len(r) - 1 - df
-        q[shift] = (a, b)
-        if a or b:
-            for i, (c, d) in enumerate(f[:-1]):
-                ea, eb = r[shift + i]
-                r[shift + i] = ((ea - a * c - n * b * d) % p, (eb - a * d - b * c) % p)
-        r.pop()
-    return _trim(q)
 
 
 def _divide_out_root(c, root, p, n):
@@ -500,15 +485,6 @@ def _quadratic_roots(c, p, n):
     half = (p + 1) // 2
     return [((ra - a) * half % p, (rb - b) * half % p),
             ((-ra - a) * half % p, (-rb - b) * half % p)]
-
-
-def _roots_given_one(c, u, p, n):
-    """All roots of c with multiplicity, sorted, when u is known to be one of them."""
-    q, rem = _divide_out_root(_monic(c, p, n), u, p, n) if len(c) > 1 else ([], c[0])
-    if rem != (0, 0):
-        raise ArithmeticError(f"known root {u[0]}+{u[1]}*s is not a root")
-    rest = _quadratic_roots(q, p, n) if len(q) == 3 else _roots_internal(q, p, n)
-    return sorted([u, *rest])
 
 
 def _roots_internal(c, p, n):
@@ -562,9 +538,6 @@ class PolyOverFp2:
     def degree(self) -> int:
         return len(self._c) - 1
 
-    def is_zero(self) -> bool:
-        return not self._c
-
     def coeff_pairs(self) -> tuple:
         return self._c
 
@@ -589,7 +562,7 @@ def poly_roots(f: PolyOverFp2, known_root: tuple[int, int] | None = None) -> lis
     by it first, and a quadratic left over is solved with one square root in
     F_{p^2}; a nonzero remainder refuses a known root that is not one.
     """
-    if f.is_zero():
+    if f.degree < 0:
         raise ValueError("zero polynomial has no root multiset")
     if f.degree > MAX_ROOT_DEGREE:
         raise ValueError(f"degree {f.degree} exceeds cap {MAX_ROOT_DEGREE}")
@@ -597,4 +570,8 @@ def poly_roots(f: PolyOverFp2, known_root: tuple[int, int] | None = None) -> lis
     c = list(f.coeff_pairs())
     if known_root is None:
         return _roots_internal(c, p, n)
-    return _roots_given_one(c, known_root, p, n)
+    q, rem = _divide_out_root(_monic(c, p, n), known_root, p, n) if len(c) > 1 else ([], c[0])
+    if rem != (0, 0):
+        raise ArithmeticError(f"known root {known_root[0]}+{known_root[1]}*s is not a root")
+    rest = _quadratic_roots(q, p, n) if len(q) == 3 else _roots_internal(q, p, n)
+    return sorted([known_root, *rest])

@@ -218,6 +218,6 @@ def test_global_edge_balance(g179, g1009):
     # total out-multiplicity equals total in-multiplicity on the full graph
     for g in (g179, g1009):
         n = g.vertex_count
-        out_total = sum(g.out_degree(i) for i in range(n))
+        out_total = sum(sum(g.adjacency[i].values()) for i in range(n))
         in_total = sum(m for row in g.adjacency for m in row.values())
         assert out_total == in_total == n * (g.ell + 1)

@@ -68,7 +68,7 @@ class TestBuild179(object):
         assert g179.adjacency[i35].get(i112, 0) == 2
 
     def test_out_degree_everywhere(self, g179):
-        assert all(g179.out_degree(i) == 3 for i in range(g179.vertex_count))
+        assert all(sum(g179.adjacency[i].values()) == 3 for i in range(g179.vertex_count))
 
     def test_loops(self, g179):
         assert loop_count(g179, 1728) == 1
@@ -95,7 +95,7 @@ class TestBuildRegular:
         F = g3361.field
         assert F.zero not in g3361.vertex_index
         assert F.elem(1728) not in g3361.vertex_index
-        assert all(g3361.out_degree(i) == 3 for i in range(280))
+        assert all(sum(g3361.adjacency[i].values()) == 3 for i in range(280))
 
     def test_1009_symmetric(self, g1009):
         for i, row in enumerate(g1009.adjacency):
