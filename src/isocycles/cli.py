@@ -129,9 +129,13 @@ def _require_graph_side(what: str, p: int):
 
 def _count(args):
     p, ell, r_max = args.p, args.ell, args.r_max
-    directed = None
     if args.method in ("graph", "both"):
         _require_graph_side("graph-side counting", p)
+    if args.method in ("orders", "both"):
+        for r in range(3, r_max + 1):
+            ordercount.check_level(r, p, ell)
+    directed = None
+    if args.method in ("graph", "both"):
         g = ssgraph.build_graph(p, ell, modpoly_dir=args.modpoly_dir)
         directed = nbwalk.count_cycles(g, r_max)
     rows = []
@@ -153,14 +157,7 @@ def _count(args):
     payload = {"schema": 1, "p": p, "ell": ell, "r_max": r_max,
                "method": args.method, "rows": rows}
     for row in rows:
-        bits = [f"r={row['r']}"]
-        if "graph" in row:
-            bits.append(f"graph={row['graph']}")
-        if "orders" in row:
-            bits.append(f"orders={row['orders']}")
-        if "match" in row:
-            bits.append(f"match={row['match']}")
-        _summary("  ".join(bits))
+        _summary("  ".join(f"{k}={v}" for k, v in row.items() if k != "c_bound"))
     return json.dumps(payload, indent=2) + "\n", ok
 
 

@@ -139,7 +139,7 @@ def _pentagonal_length(form, bits: int) -> tuple[int, float]:
     return int((1 + math.sqrt(1 + 24 * e_max)) / 6), e_max
 
 
-def j_evaluate(form, precision: int = 128):
+def j_evaluate(form, precision: int):
     """Klein j at the root tau = (-b + i sqrt|D|) / 2a of `form`, as fixed point.
 
     Returns (re, im) with j = (re + i im) / 2^(precision + _GUARD_BITS).
@@ -281,7 +281,7 @@ def _canonical_cycle(seq: tuple) -> tuple:
     return min(base[k:] + base[:k] for base in (seq, seq[::-1]) for k in range(len(seq)))
 
 
-def locate_rim_vertices(D, p: int, ell: int, *, modpoly_dir: str | None = None) -> list[tuple]:
+def locate_rim_vertices(D, p: int, ell: int, *, modpoly_dir: str | None) -> list[tuple]:
     """Thread the mod-p class polynomial roots into cycles of the isogeny graph.
 
     First, before any class polynomial or graph, it refuses a class number

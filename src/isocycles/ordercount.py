@@ -43,7 +43,9 @@ class OrderRecord:
     l_order: int
 
 
-def _check_level(N: int, p: int, ell: int):
+def check_level(N: int, p: int, ell: int):
+    """Refuse a level q_set cannot take: N outside 1..MAX_N, or 4*ell^N over the
+    discriminant cap."""
     where = f"q_set(N={N}, p={p}, ell={ell}): "
     if ell == p:
         raise ValueError(f"{where}ell and p must be distinct primes")
@@ -62,7 +64,7 @@ def q_set(N: int, p: int, ell: int) -> list[int]:
     off x^2 - 4*ell^N as its Kronecker symbol at p once every factor p^2 is
     divided out.
     """
-    _check_level(N, p, ell)
+    check_level(N, p, ell)
     four_n = 4 * ell**N
     out = []
     x = 1
@@ -169,13 +171,22 @@ def _b_real(x: float, ell: int) -> float:
 
 
 def bound_b(N: int, ell: int) -> tuple[float, float]:
-    """The explicit upper bound B_N on Q_N, and the derived bound on c_N."""
+    """The explicit upper bound B_N on Q_N, and the derived bound on c_N.
+
+    Refuses an (N, ell) whose bounds are past the float range.
+    """
+    where = f"bound_b(N={N}, ell={ell}): "
     if N < 3:
-        raise ValueError(f"bound_b(N={N}, ell={ell}): bound requires N >= 3")
-    b_n = _b_real(N, ell)
-    c_bound = b_n / N + (
-        math.exp(EULER_GAMMA) * math.log(math.log(N)) + 7.0 / 3.0 - 1.0 / N
-    ) * _b_real(N / 2, ell)
+        raise ValueError(f"{where}bound requires N >= 3")
+    try:
+        b_n = _b_real(N, ell)
+        c_bound = b_n / N + (
+            math.exp(EULER_GAMMA) * math.log(math.log(N)) + 7.0 / 3.0 - 1.0 / N
+        ) * _b_real(N / 2, ell)
+    except OverflowError:
+        c_bound = math.inf
+    if math.isinf(c_bound):
+        raise ValueError(f"{where}the bounds are past the float range")
     return b_n, c_bound
 
 

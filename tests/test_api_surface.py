@@ -10,7 +10,8 @@ field (a `__slots__` entry, or a class-level annotated field of a dataclass
 or NamedTuple) counts as used when an attribute of that name is loaded
 outside its class.  A parameter with a default on a public function or
 method counts as used when some call of that name elsewhere in the program
-passes it, by position or by keyword.
+passes it, by position or by keyword, and its default counts as used when
+some such call omits it.
 """
 
 import ast
@@ -152,8 +153,9 @@ def _passes(call, position, name):
     return position is not None and position < len(call.args)
 
 
-def unpassed_parameters() -> list[str]:
-    """Each `qualname(param)` with a default that no call in the program passes.
+def _parameter_uses():
+    """(`qualname(param)`, passed, omitted) for each parameter with a default:
+    whether some call in the program passes it, and whether some call omits it.
 
     Calls are matched to a function by the bare callee name only (`f(...)`,
     `x.f(...)`), not by module or class, and a call with `*args` or
@@ -165,20 +167,33 @@ def unpassed_parameters() -> list[str]:
     modules = list(_modules())
     calls = [node for _, tree in modules for node in ast.walk(tree)
              if isinstance(node, ast.Call)]
-    unpassed = []
     for module, tree in modules:
         for qualname, fn, is_method in _functions(module, tree):
             own = {id(n) for n in ast.walk(fn)}
             mine = [c for c in calls if id(c) not in own
                     and getattr(c.func, "id", getattr(c.func, "attr", None)) == fn.name]
             for position, name in _defaulted(fn, is_method):
-                if not any(_passes(c, position, name) for c in mine):
-                    unpassed.append(f"{qualname}({name})")
-    return unpassed
+                passes = [_passes(c, position, name) for c in mine]
+                yield f"{qualname}({name})", any(passes), not all(passes)
+
+
+def unpassed_parameters() -> list[str]:
+    """Each `qualname(param)` with a default that no call in the program passes."""
+    return [param for param, passed, _ in _parameter_uses() if not passed]
+
+
+def unrelied_defaults() -> list[str]:
+    """Each `qualname(param)` whose default every call in the program overrides."""
+    return [param for param, _, omitted in _parameter_uses() if not omitted]
 
 
 def test_every_defaulted_parameter_is_passed_by_the_program():
     assert sorted(set(unpassed_parameters()) - set(PINNED_PARAMETERS)) == []
+
+
+def test_every_default_is_relied_on_by_the_program():
+    # a default that every call overrides is a knob that only tests use
+    assert unrelied_defaults() == []
 
 
 def test_pinned_parameters_are_defined():

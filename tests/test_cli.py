@@ -94,6 +94,33 @@ class TestCountCommand:
                            "--r-max", "99", "--method", "orders")
         assert code == 2
 
+    @pytest.mark.parametrize("ell,r_max,method,message", [
+        ("2", "25", "orders", "q_set(N=25, p=13, ell=2): 4*ell^N = 134217728 exceeds the "
+                              "discriminant cap 100000000"),
+        ("3", "16", "orders", "q_set(N=16, p=13, ell=3): 4*ell^N = 172186884 exceeds the "
+                              "discriminant cap 100000000"),
+        ("2", "25", "both", "q_set(N=25, p=13, ell=2): 4*ell^N = 134217728 exceeds the "
+                            "discriminant cap 100000000"),
+    ], ids=["orders-ell2", "orders-ell3", "both-ell2"])
+    def test_r_max_over_the_level_cap_refused_before_any_work(self, capsys, monkeypatch, ell,
+                                                              r_max, method, message):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called before the level-cap refusal")
+
+        monkeypatch.setattr(ordercount, "_records", forbidden)
+        monkeypatch.setattr(ssgraph, "build_graph", forbidden)
+        code, stdout, err = run(capsys, "count", "--p", "13", "--ell", ell,
+                                "--r-max", r_max, "--method", method)
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: {message}\n"
+
+    def test_graph_method_takes_r_max_40(self, capsys):
+        code, stdout, _ = run(capsys, "count", "--p", "13", "--ell", "2",
+                              "--r-max", "40", "--method", "graph")
+        assert code == 0
+        assert [row["r"] for row in json.loads(stdout)["rows"]] == list(range(3, 41))
+
 
 class TestOrdersCommand:
     def test_p_past_the_primality_bound_refused_before_any_work(self, capsys, monkeypatch):
@@ -151,6 +178,13 @@ class TestBoundCommand:
         payload = json.loads(out.read_text())
         assert payload["B_N"] >= 94
         assert payload["c_N_bound"] >= 14
+
+    def test_past_the_float_range_names_its_stage(self, capsys):
+        code, stdout, err = run(capsys, "bound", "--ell", "1000000007", "--N", "40")
+        assert code == 2
+        assert stdout == ""
+        assert err == ("error: bound_b(N=40, ell=1000000007): the bounds are past the "
+                       "float range\n")
 
 
 class TestSpectralCommand:

@@ -245,7 +245,7 @@ class TestClassPoly:
         # there is an error even when every coefficient rounds cleanly
         j_exact = hilbert.j_evaluate
 
-        def tilted(form, precision=128):
+        def tilted(form, precision):
             re, im = j_exact(form, precision)
             if form.a == 1:  # the principal form (1, 1, 18)
                 im += 1 << (precision + hilbert._GUARD_BITS - 1)  # + i / 2
@@ -270,7 +270,7 @@ class TestClassPoly:
     def test_over_precision_cap_refused_before_any_j_evaluation(self, monkeypatch):
         # |D| = 99991 is within the discriminant cap, but its 205 reduced
         # forms need 10115 bits, over the 8192-bit precision cap
-        def forbidden(form, precision=128):
+        def forbidden(form, precision):
             raise AssertionError("j evaluated before the refusal")
 
         monkeypatch.setattr(hilbert, "j_evaluate", forbidden)
@@ -322,20 +322,20 @@ class TestModP:
 
 class TestLocate:
     def test_3_cycle_of_minus_31(self):
-        cycles = locate_rim_vertices(-31, 179, 2)
+        cycles = locate_rim_vertices(-31, 179, 2, modpoly_dir=None)
         assert len(cycles) == 1
         labels = {str(v) for v in cycles[0]}
         assert labels == {"171", "109+16*s", "109+163*s"}
 
     def test_5_cycle_of_minus_47(self):
-        (cycle,) = locate_rim_vertices(-47, 179, 2)
+        (cycle,) = locate_rim_vertices(-47, 179, 2, modpoly_dir=None)
         assert len(cycle) == 5
         assert {str(v) for v in cycle} == {
             "22", "107+77*s", "107+102*s", "109+16*s", "109+163*s"
         }
 
     def test_conjugate_pair_of_minus_231(self):
-        cycles = locate_rim_vertices(-231, 179, 2)
+        cycles = locate_rim_vertices(-231, 179, 2, modpoly_dir=None)
         assert len(cycles) == 2
         sets = [frozenset(str(v) for v in c) for c in cycles]
         assert sets[0] != sets[1]
@@ -346,21 +346,21 @@ class TestLocate:
         assert sets[1] in conj
 
     def test_repeated_vertex_cycle_of_minus_247(self):
-        (cycle,) = locate_rim_vertices(-247, 179, 2)
+        (cycle,) = locate_rim_vertices(-247, 179, 2, modpoly_dir=None)
         multiset = sorted(str(v) for v in cycle)
         assert multiset == ["0", "112", "112", "121", "121", "35"]
 
     def test_split_prime_rejected(self):
         # 179 splits in Q(sqrt(-23)): the class polynomial roots are ordinary
         with pytest.raises(ValueError, match="splits in the field"):
-            locate_rim_vertices(-23, 179, 2)
+            locate_rim_vertices(-23, 179, 2, modpoly_dir=None)
 
     def test_nonsplit_ell_rejected(self):
         # 2 is inert in Q(sqrt(-3)) and ramified in Q(sqrt(-5))
         with pytest.raises(ValueError, match="does not split"):
-            locate_rim_vertices(-3, 179, 2)
+            locate_rim_vertices(-3, 179, 2, modpoly_dir=None)
         with pytest.raises(ValueError, match="does not split"):
-            locate_rim_vertices(-20, 179, 2)
+            locate_rim_vertices(-20, 179, 2, modpoly_dir=None)
 
     def test_over_degree_cap_refused_before_class_poly(self, monkeypatch):
         # h(-7831) = 66 is over the root-finding cap of 64
@@ -371,7 +371,7 @@ class TestLocate:
         monkeypatch.setattr(hilbert, "_class_poly_cached", forbidden)
         with pytest.raises(ValueError, match=r"^locate_rim_vertices\(D=-7831, p=3361, ell=2\): "
                            r"class number h\(-7831\) = 66 exceeds the root-finding degree cap 64$"):
-            locate_rim_vertices(-7831, 3361, 2)
+            locate_rim_vertices(-7831, 3361, 2, modpoly_dir=None)
 
     @pytest.mark.parametrize("p,ell,disc,message", [
         (10009, 3, -20, "p=10009 splits in the field of discriminant -20"),
@@ -388,7 +388,7 @@ class TestLocate:
         monkeypatch.setattr(ssgraph, "build_graph", forbidden)
         monkeypatch.setattr(hilbert, "_class_poly_cached", forbidden)
         with pytest.raises(ValueError) as exc:
-            locate_rim_vertices(disc, p, ell)
+            locate_rim_vertices(disc, p, ell, modpoly_dir=None)
         assert str(exc.value).startswith(
             f"locate_rim_vertices(D={disc}, p={p}, ell={ell}): {message}")
 
@@ -398,7 +398,7 @@ class TestLocate:
         for r in range(3, 10):
             for rec in enumerate_orders(r, 179, 2):
                 D = rec.discriminant.value
-                cycles = locate_rim_vertices(D, 179, 2)
+                cycles = locate_rim_vertices(D, 179, 2, modpoly_dir=None)
                 assert len(cycles) == rec.h // r and all(len(c) == r for c in cycles), D
                 for cyc in cycles:
                     for u, v in zip(cyc, cyc[1:] + cyc[:1]):
@@ -424,7 +424,7 @@ class TestLocate:
                     if rec.l_order != r:
                         continue
                     D = rec.discriminant.value
-                    cycles = locate_rim_vertices(D, p, ell)
+                    cycles = locate_rim_vertices(D, p, ell, modpoly_dir=None)
                     for cyc in cycles:
                         c = [g.vertex_index[v] for v in cyc]
                         for t in range(r):
@@ -448,12 +448,13 @@ class TestLocate:
                      "5+169*s 107+102*s 109+16*s 109+163*s 171 120 140"]),
     ])
     def test_backtracking_walks_replaced(self, D, p, expected):
-        assert [" ".join(map(str, c)) for c in locate_rim_vertices(D, p, 2)] == expected
+        cycles = locate_rim_vertices(D, p, 2, modpoly_dir=None)
+        assert [" ".join(map(str, c)) for c in cycles] == expected
 
     def test_errors_name_stage_and_inputs(self):
         with pytest.raises(ValueError, match=r"^locate_rim_vertices\(D=-23, p=179, ell=2\): "
                            r".*splits in the field"):
-            locate_rim_vertices(-23, 179, 2)
+            locate_rim_vertices(-23, 179, 2, modpoly_dir=None)
 
     @pytest.mark.parametrize("p,ell,levels", [
         (179, 3, range(3, 7)), (613, 3, range(3, 5)), (1009, 3, range(3, 5)),
@@ -470,7 +471,7 @@ class TestLocate:
                 if rec.l_order != r:
                     continue
                 D = rec.discriminant.value
-                assert (locate_rim_vertices(D, p, ell)
+                assert (locate_rim_vertices(D, p, ell, modpoly_dir=None)
                         == rims_on_ell_graph(D, ell_graph)), D
                 seen += 1
         assert seen == CORPUS_ORDERS[(p, ell)]
@@ -487,14 +488,14 @@ class TestLocate:
             with pytest.raises(ValueError, match=r"^locate_rim_vertices\(D=-47, p=179, ell=2\): "
                                r"H_-47 mod 179 keeps a factor of degree \d+ .*"
                                r"fails the nonsplit condition$"):
-                locate_rim_vertices(-47, 179, 2)
+                locate_rim_vertices(-47, 179, 2, modpoly_dir=None)
 
     def test_threading_stops_at_its_budget(self, monkeypatch):
         # -1967 needs 924 extension steps at (179, 2); -1319 needs the most
         # in the corpus, 2093
-        locate_rim_vertices(-1967, 179, 2)
+        locate_rim_vertices(-1967, 179, 2, modpoly_dir=None)
         monkeypatch.setattr(hilbert, "THREADING_BUDGET", 900)
         with pytest.raises(ArithmeticError, match=r"^locate_rim_vertices\(D=-1967, p=179, "
                            r"ell=2\): threading 36 roots into cycles of length 9 exceeded "
                            r"the search budget of 900 steps$"):
-            locate_rim_vertices(-1967, 179, 2)
+            locate_rim_vertices(-1967, 179, 2, modpoly_dir=None)

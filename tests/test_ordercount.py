@@ -175,6 +175,13 @@ class TestBound:
         with pytest.raises(ValueError, match=r"^bound_b\(N=2, ell=2\): "):
             bound_b(2, 2)
 
+    @pytest.mark.parametrize("N", [34, 40])
+    def test_past_the_float_range_refused(self, N):
+        # N = 40 overflows converting ell^N to a float; N = 34 overflows to inf
+        with pytest.raises(ValueError, match=rf"^bound_b\(N={N}, ell=1000000007\): the bounds "
+                                             r"are past the float range$"):
+            bound_b(N, 1000000007)
+
 
 class TestRamifiedPrime:
     def test_level_sums_at_p5_are_exact(self):
