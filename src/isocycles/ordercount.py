@@ -44,8 +44,8 @@ class OrderRecord:
 
 
 def check_level(N: int, p: int, ell: int):
-    """Refuse a level q_set cannot take: N outside 1..MAX_N, or 4*ell^N over the
-    discriminant cap."""
+    """Refuse a level q_set cannot take: ell = p, N outside 1..MAX_N, or 4*ell^N
+    over the discriminant cap."""
     where = f"q_set(N={N}, p={p}, ell={ell}): "
     if ell == p:
         raise ValueError(f"{where}ell and p must be distinct primes")
