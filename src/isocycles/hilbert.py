@@ -70,6 +70,8 @@ def _inverse_series(x: int, bits: int, alternating: bool) -> int:
     return total
 
 
+# Cached because every form of a class polynomial asks for the same bits:
+# recomputing pi and ln 2 per form would add about half to each j-value.
 @lru_cache(maxsize=8)
 def _constants(bits: int) -> tuple[int, int]:
     """pi (Machin) and ln 2 = 2 atanh(1/3), times 2^bits, within 2 units."""
@@ -187,7 +189,6 @@ def j_evaluate(form, precision: int):
 class ClassPolynomial:
     """Monic integer polynomial of degree h(D) with CM j-invariants as roots."""
 
-    discriminant: quadform.Discriminant
     coefficients: tuple  # lowest degree first, leading 1 included
 
     @property
@@ -239,10 +240,15 @@ def _expand_at(forms, precision):
     return rounded, residual
 
 
-@lru_cache(maxsize=None)
-def _class_poly_cached(D: int) -> ClassPolynomial:
-    where = f"hilbert_class_poly(D={D}): "
-    disc = quadform.Discriminant(D)
+def hilbert_class_poly(D) -> ClassPolynomial:
+    """The class polynomial of the order of discriminant D, |D| <= 1e5.
+
+    The working precision is the one the reduced forms need.
+    """
+    disc = D if isinstance(D, quadform.Discriminant) else quadform.Discriminant(D)
+    if -disc.value > MAX_ABS_DISC:
+        raise ValueError(f"|D| = {-disc.value} exceeds cap {MAX_ABS_DISC}")
+    where = f"hilbert_class_poly(D={disc.value}): "
     forms = quadform.reduced_forms(disc)
     precision = _precision_for(forms)
     if precision > MAX_PRECISION_BITS:
@@ -252,23 +258,12 @@ def _class_poly_cached(D: int) -> ClassPolynomial:
             precision *= 2
         coeffs, residual = _expand_at(forms, precision)
         if residual < 0.25:
-            return ClassPolynomial(disc, tuple(coeffs))
+            return ClassPolynomial(tuple(coeffs))
         if 2 * precision > MAX_PRECISION_BITS:
             break
     raise ArithmeticError(
         f"{where}rounding residual {residual} at {precision} bits is not below 0.25"
     )
-
-
-def hilbert_class_poly(D) -> ClassPolynomial:
-    """The class polynomial of the order of discriminant D, |D| <= 1e5.
-
-    The working precision is the one the reduced forms need.
-    """
-    disc = D if isinstance(D, quadform.Discriminant) else quadform.Discriminant(D)
-    if -disc.value > MAX_ABS_DISC:
-        raise ValueError(f"|D| = {-disc.value} exceeds cap {MAX_ABS_DISC}")
-    return _class_poly_cached(disc.value)
 
 
 def hilbert_mod_p(D, field: PrimeField) -> PolyOverFp2:

@@ -107,6 +107,7 @@ def _suborder_conductors(delta: int):
             yield f
 
 
+# Cached because count's Mobius inversion and orders re-read the same levels.
 @lru_cache(maxsize=None)
 def _records(N: int, p: int, ell: int) -> tuple:
     """OrderRecords for every (x, conductor divisor) at level N whose order
@@ -122,6 +123,9 @@ def _records(N: int, p: int, ell: int) -> tuple:
             g = quadform.genus_number(disc)
             sigma = quadform.prime_form(disc, ell)
             l_order = quadform.form_order(disc, sigma)
+            if h % g or h % l_order:
+                raise AssertionError(f"_records(N={N}, p={p}, ell={ell}): g={g} or l_order="
+                                     f"{l_order} does not divide h={h} at D={disc.value}")
             out.append(OrderRecord(disc, x, f, h, g, epsilon(disc, p).value, l_order))
     return tuple(out)
 

@@ -244,7 +244,7 @@ class TestLocateCommand:
             raise AssertionError("called before the class-number refusal")
 
         monkeypatch.setattr(ssgraph, "build_graph", forbidden)
-        monkeypatch.setattr(hilbert, "_class_poly_cached", forbidden)
+        monkeypatch.setattr(hilbert, "hilbert_class_poly", forbidden)
         code, _, err = run(capsys, "locate", "--disc", "-7831", "--p", "3361",
                            "--ell", "2")
         assert code == 2
@@ -262,7 +262,7 @@ class TestLocateCommand:
             raise AssertionError("called before the refusal")
 
         monkeypatch.setattr(ssgraph, "build_graph", forbidden)
-        monkeypatch.setattr(hilbert, "_class_poly_cached", forbidden)
+        monkeypatch.setattr(hilbert, "hilbert_class_poly", forbidden)
         code, _, err = run(capsys, "locate", "--disc", str(disc), "--p", str(p),
                            "--ell", str(ell))
         assert code == 2

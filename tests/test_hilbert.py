@@ -290,7 +290,6 @@ class TestClassPoly:
 
         monkeypatch.setattr(hilbert, "_precision_for", lambda forms: start)
         monkeypatch.setattr(hilbert, "_expand_at", noisy)
-        hilbert._class_poly_cached.cache_clear()
         with pytest.raises(ArithmeticError, match=rf"^hilbert_class_poly\(D=-71\): "
                            rf"rounding residual 0.5 at {tried[-1]} bits"):
             hilbert_class_poly(-71)
@@ -368,7 +367,7 @@ class TestLocate:
             raise AssertionError("called before the refusal")
 
         monkeypatch.setattr(ssgraph, "build_graph", forbidden)
-        monkeypatch.setattr(hilbert, "_class_poly_cached", forbidden)
+        monkeypatch.setattr(hilbert, "hilbert_class_poly", forbidden)
         with pytest.raises(ValueError, match=r"^locate_rim_vertices\(D=-7831, p=3361, ell=2\): "
                            r"class number h\(-7831\) = 66 exceeds the root-finding degree cap 64$"):
             locate_rim_vertices(-7831, 3361, 2, modpoly_dir=None)
@@ -386,7 +385,7 @@ class TestLocate:
             raise AssertionError("called before the refusal")
 
         monkeypatch.setattr(ssgraph, "build_graph", forbidden)
-        monkeypatch.setattr(hilbert, "_class_poly_cached", forbidden)
+        monkeypatch.setattr(hilbert, "hilbert_class_poly", forbidden)
         with pytest.raises(ValueError) as exc:
             locate_rim_vertices(disc, p, ell, modpoly_dir=None)
         assert str(exc.value).startswith(
@@ -483,7 +482,7 @@ class TestLocate:
         for k in range(true_poly.degree):
             coeffs = list(true_poly.coefficients)
             coeffs[k] += 1
-            mutant = hilbert.ClassPolynomial(true_poly.discriminant, tuple(coeffs))
+            mutant = hilbert.ClassPolynomial(tuple(coeffs))
             monkeypatch.setattr(hilbert, "hilbert_class_poly", lambda D: mutant)
             with pytest.raises(ValueError, match=r"^locate_rim_vertices\(D=-47, p=179, ell=2\): "
                                r"H_-47 mod 179 keeps a factor of degree \d+ .*"

@@ -3,6 +3,7 @@ from functools import lru_cache
 import pytest
 from sympy import primerange
 
+from isocycles import ordercount, quadform
 from isocycles.ff import kronecker_symbol
 from isocycles.nbwalk import count_cycles
 from isocycles.ordercount import (
@@ -156,6 +157,24 @@ class TestEnumerateOrders:
     def test_small_r_rejected(self):
         with pytest.raises(ValueError, match=r"^enumerate_orders\(r=2, p=179, ell=2\): "):
             enumerate_orders(2, 179, 2)
+
+
+class TestRecordDivisibility:
+    """_records checks that g and the order of the class above ell divide h."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_records(self):
+        # _records is cached: a cached level would skip the patched function
+        ordercount._records.cache_clear()
+        yield
+        ordercount._records.cache_clear()
+
+    @pytest.mark.parametrize("name", ["form_order", "genus_number"])
+    def test_non_divisor_of_h_refused(self, monkeypatch, name):
+        monkeypatch.setattr(quadform, name, lambda *args: 10**6)
+        with pytest.raises(AssertionError, match=r"^_records\(N=3, p=179, ell=2\): .* "
+                           r"does not divide h=3 at D=-31$"):
+            enumerate_orders(3, 179, 2)
 
 
 class TestBound:
