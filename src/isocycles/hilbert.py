@@ -245,7 +245,7 @@ def hilbert_class_poly(D) -> ClassPolynomial:
 
     The working precision is the one the reduced forms need.
     """
-    disc = D if isinstance(D, quadform.Discriminant) else quadform.Discriminant(D)
+    disc = quadform.as_discriminant(D)
     if -disc.value > MAX_ABS_DISC:
         raise ValueError(f"|D| = {-disc.value} exceeds cap {MAX_ABS_DISC}")
     where = f"hilbert_class_poly(D={disc.value}): "
@@ -298,7 +298,7 @@ def locate_rim_vertices(D, p: int, ell: int, *, modpoly_dir: str | None) -> list
     from . import ssgraph  # ssgraph imports this module for its CM seed
 
     with _named_errors(D, p, ell):
-        disc = D if isinstance(D, quadform.Discriminant) else quadform.Discriminant(D)
+        disc = quadform.as_discriminant(D)
         h = quadform.class_number(disc)
         if h > MAX_ROOT_DEGREE:
             raise ValueError(

@@ -87,7 +87,7 @@ def epsilon(D, p: int) -> EpsilonValue:
     p and infinity (Eichler; Vignéras 1980, Thm III.5.11; Voight 2021,
     ch. 30): the factor is 2 when p is inert in K and 1 when p ramifies.
     """
-    D = D if isinstance(D, Discriminant) else Discriminant(D)
+    D = quadform.as_discriminant(D)
     if D.conductor % p == 0:
         raise ValueError(f"epsilon(D={D.value}, p={p}): p={p} divides the conductor "
                          f"of {D.value}")
@@ -208,8 +208,8 @@ def order_records_csv(records) -> str:
 def order_census(N: int, p: int, ell: int) -> dict:
     """JSON-ready census at level N: records, Q_N, c_N, bounds."""
     records = _records(N, p, ell)
-    b_n, c_bound = bound_b(N, ell) if N >= 3 else (None, None)
-    payload = {
+    b_n, c_bound = bound_b(N, ell)
+    return {
         "schema": 1,
         "p": p,
         "ell": ell,
@@ -229,7 +229,5 @@ def order_census(N: int, p: int, ell: int) -> dict:
         ],
         "B_N": b_n,
         "c_N_bound": c_bound,
+        "c_N": order_side_cycle_count(N, p, ell),
     }
-    if N >= 3:
-        payload["c_N"] = order_side_cycle_count(N, p, ell)
-    return payload

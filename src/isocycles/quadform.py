@@ -60,7 +60,7 @@ class Discriminant:
         return f"Discriminant({self.value})"
 
 
-def _as_disc(D) -> Discriminant:
+def as_discriminant(D) -> Discriminant:
     return D if isinstance(D, Discriminant) else Discriminant(D)
 
 
@@ -93,7 +93,7 @@ class BinaryQuadraticForm:
 
 
 def principal_form(D) -> BinaryQuadraticForm:
-    D = _as_disc(D).value
+    D = as_discriminant(D).value
     k = D & 1
     return BinaryQuadraticForm(1, k, (k - D) // 4)
 
@@ -174,7 +174,7 @@ def _reduced_triples(D: int):
 def reduced_forms(D) -> list[BinaryQuadraticForm]:
     """All primitive reduced forms of the discriminant, in (a, b) order."""
     out = []
-    for a, b, c in _reduced_triples(_as_disc(D).value):
+    for a, b, c in _reduced_triples(as_discriminant(D).value):
         out.append((a, b, c))
         if 0 < b < a < c:
             out.append((a, -b, c))
@@ -185,7 +185,7 @@ def reduced_forms(D) -> list[BinaryQuadraticForm]:
 def class_number(D) -> int:
     """Class number h: the count of primitive reduced forms."""
     return sum(2 if 0 < b < a < c else 1
-               for a, b, c in _reduced_triples(_as_disc(D).value))
+               for a, b, c in _reduced_triples(as_discriminant(D).value))
 
 
 def genus_number(D) -> int:
@@ -195,7 +195,7 @@ def genus_number(D) -> int:
     at 2 when D = -4n (Cox, Prop. 3.11 and Thm 3.15): none when n = 3
     (mod 4), two when 8 | n, one otherwise.
     """
-    D = _as_disc(D)
+    D = as_discriminant(D)
     mu = sum(1 for q in D.factors if q != 2)
     if D.value % 4 == 0:
         n = -D.value // 4
@@ -208,7 +208,7 @@ def prime_form(D, q: int) -> BinaryQuadraticForm | None:
 
     Smallest b >= 0 with b^2 = D (mod 4q) fixes the representative.
     """
-    D = _as_disc(D)
+    D = as_discriminant(D)
     if D.conductor % q == 0:
         raise ValueError(f"{q} divides the conductor of {D.value}")
     if kronecker_symbol(D.value, q) < 0:
@@ -221,7 +221,7 @@ def prime_form(D, q: int) -> BinaryQuadraticForm | None:
 
 def form_order(D, form: BinaryQuadraticForm) -> int:
     """Least k >= 1 with the k-fold composition principal."""
-    D = _as_disc(D)
+    D = as_discriminant(D)
     if form.discriminant() != D.value:
         raise ValueError("form discriminant mismatch")
     one = principal_form(D)
@@ -235,7 +235,7 @@ def form_order(D, form: BinaryQuadraticForm) -> int:
 
 def splitting_type(D, q: int) -> str:
     """Behaviour of q in the order: split/ramified/inert via the fundamental part."""
-    D = _as_disc(D)
+    D = as_discriminant(D)
     if D.conductor % q == 0:
         raise ValueError(f"{q} divides the conductor of {D.value}")
     k = kronecker_symbol(D.fundamental, q)

@@ -227,6 +227,11 @@ class TestReports:
         assert payload["B_N"] > 94
         discs = {rec["discriminant"] for rec in payload["records"]}
         assert discs == {-255, -247, -231, -135, -87, -15, -31}
+        assert list(payload)[-3:] == ["B_N", "c_N_bound", "c_N"]
+
+    def test_census_below_3_refused_by_the_bound(self):
+        with pytest.raises(ValueError, match=r"^bound_b\(N=2, ell=2\): bound requires N >= 3$"):
+            order_census(2, 179, 2)
 
     def test_cross_oracle_sampled_sweep(self):
         from isocycles.nbwalk import build_nb_operator, closed_nbw_counts, directed_cycle_counts
