@@ -220,3 +220,28 @@ def environment_reads() -> list[str]:
 def test_the_program_reads_no_environment_variable():
     # settings come from the command line only
     assert environment_reads() == []
+
+
+# Every module-level cache in the program, with what it saves.  A cache
+# hides work the program asks for again; a new one needs a stated reason.
+CACHES = {
+    "ordercount._records": "count's Mobius inversion and orders re-read the same levels",
+    "hilbert._constants": "every form of a class polynomial needs pi and ln 2 at the same "
+                          "bits; recomputing them adds about half to each j-value",
+}
+
+
+def _is_cache(decorator):
+    fn = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+    return name in ("lru_cache", "cache")
+
+
+def module_level_caches() -> set[str]:
+    """`module.function` of each module-level function decorated with lru_cache or cache."""
+    return {f"{module}.{node.name}" for module, tree in _modules() for node in tree.body
+            if isinstance(node, ast.FunctionDef) and any(map(_is_cache, node.decorator_list))}
+
+
+def test_module_level_caches_are_listed():
+    assert module_level_caches() == set(CACHES)

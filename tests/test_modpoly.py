@@ -215,9 +215,16 @@ class TestInstantiate:
 
 
 def test_global_edge_balance(g179, g1009):
-    # total out-multiplicity equals total in-multiplicity on the full graph
-    for g in (g179, g1009):
-        n = g.vertex_count
-        out_total = sum(sum(g.adjacency[i].values()) for i in range(n))
-        in_total = sum(m for row in g.adjacency for m in row.values())
-        assert out_total == in_total == n * (g.ell + 1)
+    # In-degree (column sums of the adjacency) is ell + 1 at every vertex
+    # when p = 1 mod 12.  At p = 179, j = 0 sends 3 edges to 121 and gets 1
+    # back, and j = 1728 = 117 sends 2 to 22 and gets 1 back, so exactly
+    # those four vertices differ; the total stays n (ell + 1).
+    off = {(0, 0): 1, (22, 0): 4, (117, 0): 2, (121, 0): 5}
+    for g, expected in ((g1009, {}), (g179, off)):
+        in_degree = [0] * g.vertex_count
+        for row in g.adjacency:
+            for j, m in row.items():
+                in_degree[j] += m
+        assert {g.vertices[j].key(): d for j, d in enumerate(in_degree)
+                if d != g.ell + 1} == expected
+        assert sum(in_degree) == g.vertex_count * (g.ell + 1)
