@@ -61,6 +61,7 @@ class Discriminant:
 
 
 def as_discriminant(D) -> Discriminant:
+    """D if it is a Discriminant already, else Discriminant(D), which checks and factors it."""
     return D if isinstance(D, Discriminant) else Discriminant(D)
 
 
