@@ -218,7 +218,7 @@ def test_global_edge_balance(g179, g1009):
     # In-degree (column sums of the adjacency) is ell + 1 at every vertex
     # when p = 1 mod 12.  At p = 179, j = 0 sends 3 edges to 121 and gets 1
     # back, and j = 1728 = 117 sends 2 to 22 and gets 1 back, so exactly
-    # those four vertices differ; the total stays n (ell + 1).
+    # those four vertices differ.
     off = {(0, 0): 1, (22, 0): 4, (117, 0): 2, (121, 0): 5}
     for g, expected in ((g1009, {}), (g179, off)):
         in_degree = [0] * g.vertex_count
@@ -227,4 +227,3 @@ def test_global_edge_balance(g179, g1009):
                 in_degree[j] += m
         assert {g.vertices[j].key(): d for j, d in enumerate(in_degree)
                 if d != g.ell + 1} == expected
-        assert sum(in_degree) == g.vertex_count * (g.ell + 1)
