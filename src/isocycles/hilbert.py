@@ -5,13 +5,15 @@ held as the integer x 2^P (floored), a complex number as a pair of them, at
 P = precision + _GUARD_BITS fractional bits.  The precision is
 pi sqrt|D| sum 1/a / ln 2 + 64 bits over the reduced forms (a, b, c): the
 first term bounds the bits of the largest coefficient of H_D.  For each
-form, w = 1/q = exp(pi sqrt|D| / a + i pi b / a) is built from pi (Machin),
-sqrt|D| (math.isqrt) and exp(t + i theta) = 2^k exp(r + i theta), so w has a
-relative error near 2^-P however large it is (about 2^1433 for the
-principal form at |D| near 10^5).  j comes from the eta quotient f = Delta(2 tau) / Delta(tau) = q R,
-R = (P(q^2) / P(q))^24, with P from Euler's pentagonal series (Cohen, Alg.
-7.6.1), as j = (w / R) (1 + 256 q R)^3: where |q| < 2^-P, q floors to 0 but
-j = w / R keeps its relative error near 2^-P.  The guard bits absorb the
+form (a, b, c), a plain int triple, w = 1/q = exp(pi sqrt|D| / a + i pi b / a)
+is built from pi (Machin), sqrt|D| (math.isqrt) and exp(t + i theta) =
+2^k exp(r + i theta), so w has a relative error near 2^-P however large it
+is (about 2^1433 for the principal form at |D| near 10^5).  pi and ln 2 are
+computed once per class polynomial and shared by its forms.  j comes from
+the eta quotient f = Delta(2 tau) / Delta(tau) = q R, R = (P(q^2) /
+P(q))^24, with P from Euler's pentagonal series (Cohen, Alg. 7.6.1), as
+j = (w / R) (1 + 256 q R)^3: where |q| < 2^-P, q floors to 0 but j = w / R
+keeps its relative error near 2^-P.  The guard bits absorb the
 floorings of the series and of the expansion, a few units each.
 
 The class polynomial is expanded in real arithmetic: j is real at the
@@ -37,7 +39,6 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import quadform
 # poly_roots is no longer called here, but perfbench's tracer replaces it in
@@ -70,12 +71,14 @@ def _inverse_series(x: int, bits: int, alternating: bool) -> int:
     return total
 
 
-# Cached because every form of a class polynomial asks for the same bits:
-# recomputing pi and ln 2 per form would add about half to each j-value.
-@lru_cache(maxsize=8)
-def _constants(bits: int) -> tuple[int, int]:
-    """pi (Machin) and ln 2 = 2 atanh(1/3), times 2^bits, within 2 units."""
-    extra = bits + 24
+def _constants(precision: int) -> tuple[int, int]:
+    """pi (Machin) and ln 2 = 2 atanh(1/3) within 2 units, for j_evaluate at `precision`.
+
+    They are fixed point at the working bits of `_inverse_nome`,
+    bits + isqrt(bits) + 42 for bits = precision + _GUARD_BITS.
+    """
+    bits = precision + _GUARD_BITS
+    extra = bits + math.isqrt(bits) + 42 + 24
     pi = 4 * (4 * _inverse_series(5, extra, True) - _inverse_series(239, extra, True))
     ln2 = 2 * _inverse_series(3, extra, False)
     return pi >> 24, ln2 >> 24
@@ -92,22 +95,23 @@ def _div(x, y, bits: int):
     return ((a * c + b * d) << bits) // n, ((b * c - a * d) << bits) // n
 
 
-def _inverse_nome(form, bits: int):
+def _inverse_nome(form, bits: int, constants):
     """w = 1/q = exp(pi sqrt|D| / a + i pi b / a) at the root of `form`, at `bits`.
 
     With t = pi sqrt|D| / a = k ln 2 + r and theta = pi b / a reduced into
     (-pi, pi], w = 2^k exp(z) for z = r + i theta, |z| < 4.  exp(z) is the
     Taylor series at z / 2^s squared s times; the squarings lose s bits and
     k ln 2 up to 12, so this runs at bits + s + 40 and w keeps a relative
-    error near 2^-bits however large it is.
+    error near 2^-bits however large it is.  pi and ln 2 come in as
+    `constants`, from _constants at the same precision.
     """
-    a, D = form.a, form.discriminant()
+    a, b, c = form
     s = math.isqrt(bits) + 2
     work = bits + s + 40
-    pi, ln2 = _constants(work)
-    t = (pi * math.isqrt(-D << 2 * work) >> work) // a
+    pi, ln2 = constants
+    t = (pi * math.isqrt((4 * a * c - b * b) << 2 * work) >> work) // a
     k = t // ln2
-    m = form.b % (2 * a)
+    m = b % (2 * a)
     if m > a:
         m -= 2 * a
     z = ((t - k * ln2) >> s, pi * m // a >> s)
@@ -136,12 +140,13 @@ def _pentagonal_length(form, bits: int) -> tuple[int, float]:
     bound: fixed-point terms of either sign floor to -1, not 0, so a loop
     that waits for a term to vanish need not end.
     """
-    lam = math.pi * math.sqrt(-form.discriminant()) / form.a
+    a, b, c = form
+    lam = math.pi * math.sqrt(4 * a * c - b * b) / a
     e_max = (bits * math.log(2) - math.log(-math.expm1(-lam))) / lam
     return int((1 + math.sqrt(1 + 24 * e_max)) / 6), e_max
 
 
-def j_evaluate(form, precision: int):
+def j_evaluate(form, precision: int, constants):
     """Klein j at the root tau = (-b + i sqrt|D|) / 2a of `form`, as fixed point.
 
     Returns (re, im) with j = (re + i im) / 2^(precision + _GUARD_BITS).
@@ -150,12 +155,13 @@ def j_evaluate(form, precision: int):
     7.6.1), j = (256 f + 1)^3 / f = (w / R) (1 + 256 q R)^3 with w = 1/q:
     dividing the large w by R, which is near 1, keeps j's relative error
     near 2^-bits even where q itself is below 2^-bits and rounds to 0.
+    `constants` are pi and ln 2 from _constants(precision).
     """
     if precision > MAX_PRECISION_BITS:
         raise ValueError(f"precision {precision} exceeds cap {MAX_PRECISION_BITS}")
     bits = precision + _GUARD_BITS
     one = 1 << bits
-    w = _inverse_nome(form, bits)
+    w = _inverse_nome(form, bits, constants)
     norm = w[0] * w[0] + w[1] * w[1]
     q = (w[0] << 2 * bits) // norm, (-w[1] << 2 * bits) // norm
     # P(q) = 1 + sum_{n >= 1} (-1)^n (q^(n(3n-1)/2) + q^(n(3n+1)/2));
@@ -197,8 +203,8 @@ class ClassPolynomial:
 
 
 def _precision_for(forms) -> int:
-    D = forms[0].discriminant()
-    height = math.pi * math.sqrt(-D) * math.fsum(1 / f.a for f in forms)
+    a, b, c = forms[0]
+    height = math.pi * math.sqrt(4 * a * c - b * b) * math.fsum(1 / f[0] for f in forms)
     return math.ceil(height / math.log(2)) + 64
 
 
@@ -209,17 +215,19 @@ def _expand_at(forms, precision):
     j is real; every other (a, b, c) also stands for (a, -b, c), whose j is
     the complex conjugate, so the pair gives X^2 - 2 Re(j) X + |j|^2.  The
     expansion is real, in fixed point at precision + _GUARD_BITS fractional
-    bits; the residual also takes |Im j| at the real j.
+    bits; the residual also takes |Im j| at the real j.  pi and ln 2 are
+    computed once for all the forms.
     """
     bits = precision + _GUARD_BITS
     one = 1 << bits
     coeffs = [one]
     residual = 0.0
-    for f in forms:
-        if f.b < 0:
+    constants = _constants(precision)
+    for a, b, c in forms:
+        if b < 0:
             continue
-        re, im = j_evaluate(f, precision)
-        if f.b == 0 or f.b == f.a or f.a == f.c:
+        re, im = j_evaluate((a, b, c), precision, constants)
+        if b == 0 or b == a or a == c:
             residual = max(residual, abs(im) / one)
             factor = (-re,)
         else:

@@ -1,7 +1,9 @@
 """Imaginary quadratic class groups via primitive binary quadratic forms.
 
 Class groups are represented implicitly: reduced forms plus Gauss
-composition.  Everything the cycle-counting pipeline needs is the class
+composition.  A form a*x^2 + b*x*y + c*y^2 is the int triple (a, b, c); the
+functions here derive every form from a checked Discriminant, so each one
+they return is primitive and positive definite.  Everything the cycle-counting pipeline needs is the class
 number h, the genus number g, and the order of the class above a split
 prime.
 """
@@ -65,43 +67,15 @@ def as_discriminant(D) -> Discriminant:
     return D if isinstance(D, Discriminant) else Discriminant(D)
 
 
-class BinaryQuadraticForm:
-    """Primitive positive definite form a*x^2 + b*x*y + c*y^2."""
-
-    __slots__ = ("a", "b", "c")
-
-    def __init__(self, a: int, b: int, c: int):
-        if b * b - 4 * a * c >= 0 or a <= 0:
-            raise ValueError(f"form ({a}, {b}, {c}) is not positive definite")
-        if gcd(gcd(a, b), c) != 1:
-            raise ValueError(f"form ({a}, {b}, {c}) is not primitive")
-        self.a, self.b, self.c = a, b, c
-
-    def discriminant(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BinaryQuadraticForm)
-            and (self.a, self.b, self.c) == (other.a, other.b, other.c)
-        )
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c))
-
-    def __repr__(self):
-        return f"({self.a}, {self.b}, {self.c})"
-
-
-def principal_form(D) -> BinaryQuadraticForm:
+def principal_form(D) -> tuple[int, int, int]:
     D = as_discriminant(D).value
     k = D & 1
-    return BinaryQuadraticForm(1, k, (k - D) // 4)
+    return 1, k, (k - D) // 4
 
 
-def reduce(form: BinaryQuadraticForm) -> BinaryQuadraticForm:
+def reduce(form: tuple[int, int, int]) -> tuple[int, int, int]:
     """The unique reduced representative of the form's equivalence class."""
-    a, b, c = form.a, form.b, form.c
+    a, b, c = form
     while True:
         if b > a or b <= -a:
             r = (a - b) // (2 * a)
@@ -113,7 +87,7 @@ def reduce(form: BinaryQuadraticForm) -> BinaryQuadraticForm:
         break
     if a == c and b < 0:
         b = -b
-    return BinaryQuadraticForm(a, b, c)
+    return a, b, c
 
 
 def _xgcd(a: int, b: int):
@@ -131,15 +105,14 @@ def _xgcd(a: int, b: int):
     return old_s, old_t, old_r
 
 
-def compose(f1: BinaryQuadraticForm, f2: BinaryQuadraticForm) -> BinaryQuadraticForm:
+def compose(f1: tuple[int, int, int], f2: tuple[int, int, int]) -> tuple[int, int, int]:
     """Gauss composition of two primitive forms of equal discriminant, reduced."""
-    D = f1.discriminant()
-    if D != f2.discriminant():
-        raise ValueError("composition requires equal discriminants")
-    if f1.a > f2.a:
+    if f1[0] > f2[0]:
         f1, f2 = f2, f1
-    a1, b1, c1 = f1.a, f1.b, f1.c
-    a2, b2, c2 = f2.a, f2.b, f2.c
+    (a1, b1, c1), (a2, b2, c2) = f1, f2
+    D = b1 * b1 - 4 * a1 * c1
+    if D != b2 * b2 - 4 * a2 * c2:
+        raise ValueError("composition requires equal discriminants")
     s = (b1 + b2) // 2
     m = b2 - s
     y1, _, d = _xgcd(a2, a1)
@@ -151,7 +124,7 @@ def compose(f1: BinaryQuadraticForm, f2: BinaryQuadraticForm) -> BinaryQuadratic
     b3 = b2 + 2 * v2 * r
     a3 = v1 * v2
     c3 = (b3 * b3 - D) // (4 * a3)
-    return reduce(BinaryQuadraticForm(a3, b3, c3))
+    return reduce((a3, b3, c3))
 
 
 def _reduced_triples(D: int):
@@ -172,7 +145,7 @@ def _reduced_triples(D: int):
         b += 2
 
 
-def reduced_forms(D) -> list[BinaryQuadraticForm]:
+def reduced_forms(D) -> list[tuple[int, int, int]]:
     """All primitive reduced forms of the discriminant, in (a, b) order."""
     out = []
     for a, b, c in _reduced_triples(as_discriminant(D).value):
@@ -180,7 +153,7 @@ def reduced_forms(D) -> list[BinaryQuadraticForm]:
         if 0 < b < a < c:
             out.append((a, -b, c))
     out.sort()
-    return [BinaryQuadraticForm(a, b, c) for a, b, c in out]
+    return out
 
 
 def class_number(D) -> int:
@@ -204,7 +177,7 @@ def genus_number(D) -> int:
     return 1 << (mu - 1)
 
 
-def prime_form(D, q: int) -> BinaryQuadraticForm | None:
+def prime_form(D, q: int) -> tuple[int, int, int] | None:
     """Reduced class of the prime ideal above q, or None if q is inert.
 
     Smallest b >= 0 with b^2 = D (mod 4q) fixes the representative.
@@ -216,14 +189,15 @@ def prime_form(D, q: int) -> BinaryQuadraticForm | None:
         return None
     for b in range(0, 2 * q + 1):
         if (b * b - D.value) % (4 * q) == 0:
-            return reduce(BinaryQuadraticForm(q, b, (b * b - D.value) // (4 * q)))
+            return reduce((q, b, (b * b - D.value) // (4 * q)))
     raise AssertionError(f"no square root of {D.value} mod {4 * q}")  # pragma: no cover
 
 
-def form_order(D, form: BinaryQuadraticForm) -> int:
+def form_order(D, form: tuple[int, int, int]) -> int:
     """Least k >= 1 with the k-fold composition principal."""
     D = as_discriminant(D)
-    if form.discriminant() != D.value:
+    a, b, c = form
+    if b * b - 4 * a * c != D.value:
         raise ValueError("form discriminant mismatch")
     one = principal_form(D)
     acc = reduce(form)

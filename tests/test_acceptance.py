@@ -27,7 +27,6 @@ from isocycles.ordercount import (
     q_n,
 )
 from isocycles.quadform import (
-    BinaryQuadraticForm,
     class_number,
     compose,
     form_order,
@@ -244,9 +243,9 @@ def test_criterion_11_property_suites(g1009):
     ok = True
     # quadform group axioms and reduce idempotence on a nontrivial class group
     forms = reduced_forms(-964)
-    for f in forms:
-        ok = ok and reduce(f) == f
-        ok = ok and compose(f, reduce(BinaryQuadraticForm(f.a, -f.b, f.c))) == principal_form(-964)
+    for a, b, c in forms:
+        ok = ok and reduce((a, b, c)) == (a, b, c)
+        ok = ok and compose((a, b, c), reduce((a, -b, c))) == principal_form(-964)
     for f in forms[:4]:
         for g in forms[:4]:
             for h in forms[:4]:

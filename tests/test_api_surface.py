@@ -226,8 +226,6 @@ def test_the_program_reads_no_environment_variable():
 # hides work the program asks for again; a new one needs a stated reason.
 CACHES = {
     "ordercount._records": "count's Mobius inversion and orders re-read the same levels",
-    "hilbert._constants": "every form of a class polynomial needs pi and ln 2 at the same "
-                          "bits; recomputing them adds about half to each j-value",
 }
 
 

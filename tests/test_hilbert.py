@@ -12,7 +12,7 @@ from isocycles.hilbert import (
     locate_rim_vertices,
 )
 from isocycles.ordercount import enumerate_orders
-from isocycles.quadform import BinaryQuadraticForm, class_number, reduced_forms
+from isocycles.quadform import class_number, reduced_forms
 from isocycles.ssgraph import build_graph
 from oracles import rims_on_ell_graph
 
@@ -55,8 +55,8 @@ def e4_delta_class_poly(D):
     precision = hilbert._precision_for(forms)
     with mp.workprec(precision + 48):
         coeffs = [mp.mpc(1)]
-        for f in forms:
-            root = e4_delta_j((-f.b + mp.sqrt(mp.mpc(D))) / (2 * f.a), precision)
+        for a, b, _ in forms:
+            root = e4_delta_j((-b + mp.sqrt(mp.mpc(D))) / (2 * a), precision)
             coeffs = [mp.mpc(0)] + coeffs
             for i in range(len(coeffs) - 1):
                 coeffs[i] -= root * coeffs[i + 1]
@@ -104,6 +104,11 @@ TURN_SWEEP = [(179, 2, range(3, 10)), (1009, 3, range(3, 4)), (409, 2, range(3, 
               (613, 2, range(3, 9)), (37, 3, range(3, 6)), (1009, 2, range(3, 9))]
 
 
+def j_at(form, precision):
+    """j_evaluate at the form with pi and ln 2 for that precision."""
+    return j_evaluate(form, precision, hilbert._constants(precision))
+
+
 def as_mpc(z, precision):
     """A fixed-point j-value from j_evaluate as an mpmath complex."""
     bits = precision + hilbert._GUARD_BITS
@@ -112,7 +117,8 @@ def as_mpc(z, precision):
 
 def cm_point(form):
     """The root (-b + i sqrt|D|) / 2a of the form in the upper half plane."""
-    return mp.mpc(-form.b, mp.sqrt(-form.discriminant())) / (2 * form.a)
+    a, b, c = form
+    return mp.mpc(-b, mp.sqrt(4 * a * c - b * b)) / (2 * a)
 
 
 # reduced and unreduced forms; the unreduced ones put tau off the
@@ -124,64 +130,62 @@ CM_FORMS = [(1, 0, 1), (2, 1, 3), (3, 2, 4), (5, 3, 7), (4, 4, 5), (7, 6, 11),
 class TestJEvaluate:
     def test_j_of_i_is_1728(self):
         with mp.workprec(256):
-            val = as_mpc(j_evaluate(BinaryQuadraticForm(1, 0, 1), 128), 128)
+            val = as_mpc(j_at((1, 0, 1), 128), 128)
             assert abs(val - 1728) < mp.mpf(2) ** -100
 
     def test_j_of_zeta3_is_0(self):
         with mp.workprec(256):
-            assert abs(as_mpc(j_evaluate(BinaryQuadraticForm(1, 1, 1), 128), 128)) < mp.mpf(2) ** -40
+            assert abs(as_mpc(j_at((1, 1, 1), 128), 128)) < mp.mpf(2) ** -40
 
     def test_j_of_2i(self):
         with mp.workprec(256):
-            val = as_mpc(j_evaluate(BinaryQuadraticForm(1, 0, 4), 128), 128)
+            val = as_mpc(j_at((1, 0, 4), 128), 128)
             assert abs(val - 66**3) < mp.mpf(2) ** -80
 
     def test_inverse_form_gives_the_conjugate(self):
         # _expand_at evaluates (a, b, c) for (a, -b, c) too
         for a, b, c in CM_FORMS:
-            x = j_evaluate(BinaryQuadraticForm(a, b, c), 96)
-            y = j_evaluate(BinaryQuadraticForm(a, -b, c), 96)
+            x = j_at((a, b, c), 96)
+            y = j_at((a, -b, c), 96)
             with mp.workprec(400):
                 x, y = as_mpc(x, 96), as_mpc(y, 96)
                 assert abs(x - mp.conj(y)) < mp.mpf(2) ** -80 * max(1, abs(x)), (a, b, c)
 
     def test_rejects_excessive_precision(self):
+        # refused before the constants are read
         with pytest.raises(ValueError):
-            j_evaluate(BinaryQuadraticForm(1, 0, 1), 10**5)
+            j_evaluate((1, 0, 1), 10**5, None)
 
     def test_periodicity_and_modularity(self):
         # tau -> tau - 1 is the form (a, b + 2a, .) and tau -> -1/tau the
         # form (c, -b, a); both leave j unchanged
-        for a, b, c in CM_FORMS:
-            form = BinaryQuadraticForm(a, b, c)
-            D = form.discriminant()
-            shifted = BinaryQuadraticForm(a, b + 2 * a, ((b + 2 * a) ** 2 - D) // (4 * a))
-            inverted = BinaryQuadraticForm(c, -b, a)
+        for form in CM_FORMS:
+            a, b, c = form
+            shifted = (a, b + 2 * a, a + b + c)
+            inverted = (c, -b, a)
             with mp.workprec(400):
-                j = as_mpc(j_evaluate(form, 96), 96)
+                j = as_mpc(j_at(form, 96), 96)
                 for other in (shifted, inverted):
-                    err = abs(as_mpc(j_evaluate(other, 96), 96) - j)
+                    err = abs(as_mpc(j_at(other, 96), 96) - j)
                     assert err < mp.mpf(2) ** -80 * max(1, abs(j)), (form, other)
 
     def test_matches_mpmath_kleinj(self):
-        for abc in CM_FORMS:
-            form = BinaryQuadraticForm(*abc)
+        for form in CM_FORMS:
             with mp.workprec(240):
                 expected = 1728 * mp.kleinj(cm_point(form))
-                got = as_mpc(j_evaluate(form, 120), 120)
+                got = as_mpc(j_at(form, 120), 120)
                 assert abs(got - expected) < mp.mpf(2) ** -100 * max(1, abs(expected)), form
 
     def test_relative_error_near_2_to_the_minus_bits_where_w_is_large(self):
         # |w| = |1/q| reaches 2^1433 at the principal forms of D near -10^5,
         # and j's relative error stays within 2^16 units of 2^-bits there
-        for abc, precision in [((1, 1, 24997), 1500), ((1, 0, 25000), 1500),
-                               ((2, 1, 12499), 800)]:
-            form = BinaryQuadraticForm(*abc)
+        for form, precision in [((1, 1, 24997), 1500), ((1, 0, 25000), 1500),
+                                ((2, 1, 12499), 800)]:
             bits = precision + hilbert._GUARD_BITS
             with mp.workprec(bits + 128):
                 expected = 1728 * mp.kleinj(cm_point(form))
-                err = abs(as_mpc(j_evaluate(form, precision), precision) - expected)
-                assert err < mp.mpf(2) ** (16 - bits) * abs(expected), abc
+                err = abs(as_mpc(j_at(form, precision), precision) - expected)
+                assert err < mp.mpf(2) ** (16 - bits) * abs(expected), form
 
     def test_pentagonal_series_is_bounded_at_the_corner(self):
         # (182, 181, 182) has a = c and the largest a for D = -99735: its
@@ -189,16 +193,16 @@ class TestJEvaluate:
         # |q| is near the largest any reduced form has, exp(-pi sqrt 3).  At
         # the precision cap the series stops after the count fixed up front,
         # the least count whose tail bound holds
-        form = BinaryQuadraticForm(182, 181, 182)
+        form = (182, 181, 182)
         bits = hilbert.MAX_PRECISION_BITS + hilbert._GUARD_BITS
         n_terms, e_max = hilbert._pentagonal_length(form, bits)
         with mp.workprec(bits + 64):
-            absq = mp.exp(-mp.pi * mp.sqrt(-form.discriminant()) / form.a)
+            absq = mp.exp(-mp.pi * mp.sqrt(99735) / 182)
             assert absq ** e_max / (1 - absq) <= mp.mpf(2) ** -bits
         assert n_terms * (3 * n_terms - 1) / 2 < e_max <= (n_terms + 1) * (3 * n_terms + 2) / 2
         assert n_terms == 26
         start = time.monotonic()
-        z = j_evaluate(form, hilbert.MAX_PRECISION_BITS)
+        z = j_at(form, hilbert.MAX_PRECISION_BITS)
         assert time.monotonic() - start < 30
         with mp.workprec(bits + 64):
             expected = 1728 * mp.kleinj(cm_point(form))
@@ -245,9 +249,9 @@ class TestClassPoly:
         # there is an error even when every coefficient rounds cleanly
         j_exact = hilbert.j_evaluate
 
-        def tilted(form, precision):
-            re, im = j_exact(form, precision)
-            if form.a == 1:  # the principal form (1, 1, 18)
+        def tilted(form, precision, constants):
+            re, im = j_exact(form, precision, constants)
+            if form[0] == 1:  # the principal form (1, 1, 18)
                 im += 1 << (precision + hilbert._GUARD_BITS - 1)  # + i / 2
             return re, im
 
@@ -270,7 +274,7 @@ class TestClassPoly:
     def test_over_precision_cap_refused_before_any_j_evaluation(self, monkeypatch):
         # |D| = 99991 is within the discriminant cap, but its 205 reduced
         # forms need 10115 bits, over the 8192-bit precision cap
-        def forbidden(form, precision):
+        def forbidden(*args):
             raise AssertionError("j evaluated before the refusal")
 
         monkeypatch.setattr(hilbert, "j_evaluate", forbidden)

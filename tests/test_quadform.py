@@ -12,7 +12,6 @@ from isocycles.quadform import (
     INERT,
     RAMIFIED,
     SPLIT,
-    BinaryQuadraticForm,
     Discriminant,
     class_number,
     compose,
@@ -26,6 +25,12 @@ from isocycles.quadform import (
 )
 
 DISC_POOL = [-15, -31, -39, -47, -84, -87, -135, -231, -247, -255, -420, -964, -3299, -9240]
+
+
+def assert_form_of(disc, form):
+    """form is a primitive positive definite (a, b, c) of discriminant disc."""
+    a, b, c = form
+    assert gcd(a, b, c) == 1 and a > 0 and b * b - 4 * a * c == disc, (disc, form)
 
 
 class TestDiscriminant:
@@ -60,24 +65,16 @@ class TestDiscriminant:
 
 class TestReduce:
     def test_already_reduced(self):
-        f = BinaryQuadraticForm(1, 1, 8)
+        f = (1, 1, 8)
         assert reduce(f) == f
 
     def test_example(self):
-        assert reduce(BinaryQuadraticForm(8, 7, 2)) == BinaryQuadraticForm(2, 1, 2)
+        assert reduce((8, 7, 2)) == (2, 1, 2)
 
     def test_boundary_b_nonneg(self):
-        assert reduce(BinaryQuadraticForm(2, -1, 4)) == BinaryQuadraticForm(2, -1, 4)
+        assert reduce((2, -1, 4)) == (2, -1, 4)
         # a == c forces b >= 0
-        assert reduce(BinaryQuadraticForm(2, -2, 3)) == BinaryQuadraticForm(2, 2, 3)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            BinaryQuadraticForm(1, 5, 1)
-
-    def test_rejects_imprimitive(self):
-        with pytest.raises(ValueError):
-            BinaryQuadraticForm(2, 2, 2)
+        assert reduce((2, -2, 3)) == (2, 2, 3)
 
     @given(st.sampled_from(DISC_POOL), st.data())
     @settings(max_examples=60, deadline=None)
@@ -85,32 +82,31 @@ class TestReduce:
         forms = reduced_forms(disc)
         f = data.draw(st.sampled_from(forms))
         # unreduce by a few random SL2 steps, then reduce back
-        a, b, c = f.a, f.b, f.c
+        a, b, c = f
         for _ in range(data.draw(st.integers(0, 4))):
             if data.draw(st.booleans()):
                 a, b, c = c, -b, a
             else:
                 t = data.draw(st.integers(-3, 3))
                 a, b, c = a, b + 2 * t * a, a * t * t + b * t + c
-        g = BinaryQuadraticForm(a, b, c) if a > 0 else f
-        r = reduce(g) if a > 0 else f
-        if a > 0:
-            assert r == f or r.discriminant() == f.discriminant()
-        assert reduce(reduce(g if a > 0 else f)) == reduce(g if a > 0 else f)
+        r = reduce((a, b, c))
+        assert_form_of(disc, r)
+        assert r == f
+        assert reduce(r) == r
 
 
 class TestCompose:
     def test_identity_law(self):
-        f = BinaryQuadraticForm(2, 1, 4)
+        f = (2, 1, 4)
         assert compose(principal_form(-31), f) == reduce(f)
 
     def test_inverse_law(self):
-        f = BinaryQuadraticForm(2, 1, 4)
-        assert compose(f, reduce(BinaryQuadraticForm(2, -1, 4))) == principal_form(-31)
+        f = (2, 1, 4)
+        assert compose(f, reduce((2, -1, 4))) == principal_form(-31)
 
     def test_square_in_cyclic_3(self):
-        f = BinaryQuadraticForm(2, 1, 4)
-        assert compose(f, f) == BinaryQuadraticForm(2, -1, 4)
+        f = (2, 1, 4)
+        assert compose(f, f) == (2, -1, 4)
 
     def test_discriminant_mismatch(self):
         with pytest.raises(ValueError):
@@ -122,10 +118,14 @@ class TestCompose:
         forms = reduced_forms(disc)
         pick = lambda: data.draw(st.sampled_from(forms))
         f, g, h = pick(), pick(), pick()
-        assert compose(compose(f, g), h) == compose(f, compose(g, h))
-        assert compose(f, g) == compose(g, f)
+        fg = compose(f, g)
+        assert_form_of(disc, fg)
+        assert fg in forms
+        assert compose(fg, h) == compose(f, compose(g, h))
+        assert fg == compose(g, f)
         assert compose(f, principal_form(disc)) == f
-        assert compose(f, reduce(BinaryQuadraticForm(f.a, -f.b, f.c))) == principal_form(disc)
+        a, b, c = f
+        assert compose(f, reduce((a, -b, c))) == principal_form(disc)
 
     def test_repeated_composition_cycles_with_the_order(self):
         # the class above 11 has order 4 in Cl(-964), so its k-fold
@@ -153,7 +153,7 @@ def brute_box_class_count(disc):
                 continue
             if gcd(gcd(a, b), c) != 1:
                 continue
-            seen.add(reduce(BinaryQuadraticForm(a, b, c)))
+            seen.add(reduce((a, b, c)))
     return len(seen)
 
 
@@ -175,9 +175,16 @@ class TestClassNumber:
         for disc in DISC_POOL:
             forms = reduced_forms(disc)
             assert len(set(forms)) == len(forms)
-            assert all(-f.a < f.b <= f.a <= f.c and not (f.a == f.c and f.b < 0)
-                       for f in forms)
-            assert all(f.discriminant() == disc for f in forms)
+            assert all(-a < b <= a <= c and not (a == c and b < 0) for a, b, c in forms)
+            for f in forms:
+                assert_form_of(disc, f)
+            # the class above each small prime not dividing the conductor
+            for q in (2, 3, 5, 7, 11, 13):
+                if Discriminant(disc).conductor % q:
+                    f = prime_form(disc, q)
+                    if f is not None:
+                        assert_form_of(disc, f)
+                        assert f in forms
 
 
 class TestGenus:
@@ -200,7 +207,7 @@ class TestGenus:
 
 class TestPrimeForm:
     def test_above_2_in_minus_31(self):
-        assert prime_form(-31, 2) == BinaryQuadraticForm(2, 1, 4)
+        assert prime_form(-31, 2) == (2, 1, 4)
 
     def test_inert_prime_absent(self):
         # kronecker(-31, 3) = -1
@@ -208,10 +215,10 @@ class TestPrimeForm:
 
     def test_split_at_5_in_minus_31(self):
         # kronecker(-31, 5) = kronecker(4, 5) = +1, so the class exists
-        assert prime_form(-31, 5) == reduce(BinaryQuadraticForm(5, 3, 2))
+        assert prime_form(-31, 5) == reduce((5, 3, 2))
 
     def test_ramified_above_2_in_gaussian(self):
-        assert prime_form(-4, 2) == reduce(BinaryQuadraticForm(2, 2, 1))
+        assert prime_form(-4, 2) == reduce((2, 2, 1))
 
     def test_conductor_rejected(self):
         with pytest.raises(ValueError):
@@ -307,8 +314,7 @@ def is_fundamental(disc):
 class TestAgainstClassicalResults:
     def test_reduced_forms_match_the_full_scan(self):
         for disc in SCAN_RANGE:
-            got = [(f.a, f.b, f.c) for f in reduced_forms(disc)]
-            assert got == scan_reduced_forms(disc), disc
+            assert reduced_forms(disc) == scan_reduced_forms(disc), disc
 
     def test_genus_number_is_h_over_squares(self):
         for disc in SCAN_RANGE:
