@@ -254,9 +254,9 @@ def hilbert_class_poly(D) -> ClassPolynomial:
     The working precision is the one the reduced forms need.
     """
     disc = quadform.as_discriminant(D)
-    if -disc.value > MAX_ABS_DISC:
-        raise ValueError(f"|D| = {-disc.value} exceeds cap {MAX_ABS_DISC}")
     where = f"hilbert_class_poly(D={disc.value}): "
+    if -disc.value > MAX_ABS_DISC:
+        raise ValueError(f"{where}|D| = {-disc.value} exceeds cap {MAX_ABS_DISC}")
     forms = quadform.reduced_forms(disc)
     precision = _precision_for(forms)
     if precision > MAX_PRECISION_BITS:
@@ -287,12 +287,12 @@ def _canonical_cycle(seq: tuple) -> tuple:
 def locate_rim_vertices(D, p: int, ell: int, *, modpoly_dir: str | None) -> list[tuple]:
     """Thread the mod-p class polynomial roots into cycles of the isogeny graph.
 
-    First, before any class polynomial or graph, it refuses a class number
-    over the root-finding cap, an ell whose Phi_ell is neither embedded nor
-    readable from `modpoly_dir`, an ell that does not split in D (no class
-    above ell), a p that divides the conductor or splits in the field
-    (Deuring's conditions for supersingular roots), and |D| over the class
-    polynomial cap.  The ell = 2 graph, the cheapest build that certifies
+    First, before any class polynomial or graph, it refuses |D| over the
+    class polynomial cap, a class number over the root-finding cap, an ell
+    whose Phi_ell is neither embedded nor readable from `modpoly_dir`, an
+    ell that does not split in D (no class above ell), and a p that divides
+    the conductor or splits in the field (Deuring's conditions for
+    supersingular roots).  The ell = 2 graph, the cheapest build that certifies
     the supersingular vertex set, then supplies the vertices v; H_D mod p
     is divided by (X - v) for each in turn and must deflate to 1.  The
     roots (with multiplicity) are decomposed into h/r cyclic vertex
@@ -307,6 +307,8 @@ def locate_rim_vertices(D, p: int, ell: int, *, modpoly_dir: str | None) -> list
 
     with _named_errors(D, p, ell):
         disc = quadform.as_discriminant(D)
+        if -disc.value > MAX_ABS_DISC:
+            raise ValueError(f"|D| = {-disc.value} exceeds cap {MAX_ABS_DISC}")
         h = quadform.class_number(disc)
         if h > MAX_ROOT_DEGREE:
             raise ValueError(
@@ -323,8 +325,6 @@ def locate_rim_vertices(D, p: int, ell: int, *, modpoly_dir: str | None) -> list
                 f"p={p} splits in the field of discriminant {disc.value}; the "
                 "reductions of its class polynomial roots are not supersingular"
             )
-        if -disc.value > MAX_ABS_DISC:
-            raise ValueError(f"|D| = {-disc.value} exceeds cap {MAX_ABS_DISC}")
     graph = ssgraph.build_graph(p, 2)
     with _named_errors(D, p, ell):
         return _thread_rims(disc, p, phi, graph)

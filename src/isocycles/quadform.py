@@ -36,7 +36,7 @@ class Discriminant:
         if value % 4 not in (0, 1):
             raise ValueError(f"discriminant must be 0 or 1 mod 4, got {value}")
         if -value > MAX_ABS_DISC:
-            raise ValueError(f"class_number(D={value}): |discriminant| {-value} "
+            raise ValueError(f"Discriminant(D={value}): |discriminant| {-value} "
                              f"exceeds cap {MAX_ABS_DISC}")
         self.value = value
         self.factors = factor(-value)

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from isocycles import cli, hilbert, ordercount, ssgraph
+from isocycles import cli, hilbert, ordercount, quadform, ssgraph
 from isocycles.cli import main
 from oracles import rims_on_ell_graph
 
@@ -256,6 +256,8 @@ class TestLocateCommand:
         (179, 2, -3, "2 does not split in discriminant -3"),
         (13, 2, -1183, "p=13 divides the conductor of -1183"),
         (179, 5, -31, "level 5 is not embedded and no modular polynomial directory given"),
+        # h(-99999999) = 6976 is over the root-finding cap too
+        (179, 2, -99999999, "|D| = 99999999 exceeds cap 100000"),
     ])
     def test_input_refusals_before_any_work(self, capsys, monkeypatch, p, ell, disc, message):
         def forbidden(*args, **kwargs):
@@ -263,6 +265,8 @@ class TestLocateCommand:
 
         monkeypatch.setattr(ssgraph, "build_graph", forbidden)
         monkeypatch.setattr(hilbert, "hilbert_class_poly", forbidden)
+        if message.startswith("|D|"):  # the |D| cap comes before the class number
+            monkeypatch.setattr(quadform, "class_number", forbidden)
         code, _, err = run(capsys, "locate", "--disc", str(disc), "--p", str(p),
                            "--ell", str(ell))
         assert code == 2

@@ -3,7 +3,7 @@ import time
 import mpmath as mp
 import pytest
 
-from isocycles import hilbert, ssgraph
+from isocycles import hilbert, quadform, ssgraph
 from isocycles.ff import PolyOverFp2, PrimeField, poly_roots
 from isocycles.hilbert import (
     hilbert_class_poly,
@@ -268,7 +268,8 @@ class TestClassPoly:
         assert poly.coefficients[-1] == 1
 
     def test_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^hilbert_class_poly\(D=-100003\): "
+                           r"\|D\| = 100003 exceeds cap 100000$"):
             hilbert_class_poly(-(10**5 + 3))
 
     def test_over_precision_cap_refused_before_any_j_evaluation(self, monkeypatch):
@@ -383,6 +384,8 @@ class TestLocate:
         (179, 5, -31, "level 5 is not embedded and no modular polynomial directory given"),
         # h(-100787) = 51, 3 splits, 150001 is inert: only the cap refuses it
         (150001, 3, -100787, "|D| = 100787 exceeds cap 100000"),
+        # h(-99999999) = 6976 is over the root-finding cap too
+        (179, 2, -99999999, "|D| = 99999999 exceeds cap 100000"),
     ])
     def test_input_refusals_before_any_work(self, monkeypatch, p, ell, disc, message):
         def forbidden(*args, **kwargs):
@@ -390,6 +393,8 @@ class TestLocate:
 
         monkeypatch.setattr(ssgraph, "build_graph", forbidden)
         monkeypatch.setattr(hilbert, "hilbert_class_poly", forbidden)
+        if message.startswith("|D|"):  # the |D| cap comes before the class number
+            monkeypatch.setattr(quadform, "class_number", forbidden)
         with pytest.raises(ValueError) as exc:
             locate_rim_vertices(disc, p, ell, modpoly_dir=None)
         assert str(exc.value).startswith(

@@ -51,7 +51,7 @@ class TestDiscriminant:
             Discriminant(-5)
 
     def test_cap(self):
-        with pytest.raises(ValueError, match=r"^class_number\(D=-100000004\): "
+        with pytest.raises(ValueError, match=r"^Discriminant\(D=-100000004\): "
                                              r"\|discriminant\| 100000004 exceeds cap"):
             class_number(-(10**8 + 4))
 
