@@ -292,10 +292,10 @@ def locate_rim_vertices(D, p: int, ell: int, *, modpoly_dir: str | None) -> list
     whose Phi_ell is neither embedded nor readable from `modpoly_dir`, an
     ell that does not split in D (no class above ell), and a p that divides
     the conductor or splits in the field (Deuring's conditions for
-    supersingular roots).  The ell = 2 graph, the cheapest build that certifies
-    the supersingular vertex set, then supplies the vertices v; H_D mod p
-    is divided by (X - v) for each in turn and must deflate to 1.  The
-    roots (with multiplicity) are decomposed into h/r cyclic vertex
+    supersingular roots).  The ell = 2 graph, the cheapest build that
+    certifies the supersingular vertex set, then supplies the vertices v;
+    H_D mod p is divided by (X - v) for each in turn and must deflate to 1.
+    The roots (with multiplicity) are decomposed into h/r cyclic vertex
     sequences of length r, the order of the class above ell, with
     consecutive vertices u, v adjacent, Phi_ell(u, v) = 0, and for r >= 3
     no turn u -> v -> u over a single edge unless v is j = 0 or 1728.

@@ -3,9 +3,9 @@
 Class groups are represented implicitly: reduced forms plus Gauss
 composition.  A form a*x^2 + b*x*y + c*y^2 is the int triple (a, b, c); the
 functions here derive every form from a checked Discriminant, so each one
-they return is primitive and positive definite.  Everything the cycle-counting pipeline needs is the class
-number h, the genus number g, and the order of the class above a split
-prime.
+they return is primitive and positive definite.  Everything the
+cycle-counting pipeline needs is the class number h, the genus number g,
+and the order of the class above a split prime.
 """
 
 from __future__ import annotations

@@ -57,7 +57,8 @@ def corpus() -> list[list[str]]:
     # refusals, one or more per stage prefix
     cmds += [
         ["graph", "--p", "101", "--ell", "5"],                                # build_graph(
-        ["locate", "--disc", "-23", "--p", "179", "--ell", "2"],              # locate_rim_vertices(
+        # locate_rim_vertices(
+        ["locate", "--disc", "-23", "--p", "179", "--ell", "2"],
         ["locate", "--disc", "-3", "--p", "179", "--ell", "2"],
         ["locate", "--disc", "-1183", "--p", "13", "--ell", "2"],
         ["locate", "--disc", "-7831", "--p", "3361", "--ell", "2"],
