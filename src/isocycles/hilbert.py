@@ -1,27 +1,41 @@
 """Hilbert class polynomials from complex CM points, reduction mod p, rim location.
 
-Class polynomials are computed in fixed point on Python ints: a real x is
-held as the integer x 2^P (floored), a complex number as a pair of them, at
-P = precision + _GUARD_BITS fractional bits.  The precision is
-pi sqrt|D| sum 1/a / ln 2 + 64 bits over the reduced forms (a, b, c): the
-first term bounds the bits of the largest coefficient of H_D.  For each
-form (a, b, c), a plain int triple, w = 1/q = exp(pi sqrt|D| / a + i pi b / a)
-is built from pi (Machin), sqrt|D| (math.isqrt) and exp(t + i theta) =
-2^k exp(r + i theta), so w has a relative error near 2^-P however large it
-is (about 2^1433 for the principal form at |D| near 10^5).  pi and ln 2 are
-computed once per class polynomial and shared by its forms.  j comes from
-the eta quotient f = Delta(2 tau) / Delta(tau) = q R, R = (P(q^2) /
-P(q))^24, with P from Euler's pentagonal series (Cohen, Alg. 7.6.1), as
-j = (w / R) (1 + 256 q R)^3: where |q| < 2^-P, q floors to 0 but j = w / R
-keeps its relative error near 2^-P.  The guard bits absorb the
-floorings of the series and of the expansion, a few units each.
+H_D is computed from one of two class invariants.  For 3 dividing D it is
+j itself.  For 3 not dividing D it is gamma_2 = E4 / eta^8 = j^(1/3), whose
+class polynomial has a third of the coefficient bits (Cox, Primes of the
+form x^2 + ny^2, section 12; Enge and Morain, "Comparing invariants for
+class fields of imaginary quadratic fields", 2002); H_D is then rebuilt
+from it exactly, in integers.
 
-The class polynomial is expanded in real arithmetic: j is real at the
-forms that are their own inverse (b = 0, b = a or a = c), and the forms
-(a, b, c) and (a, -b, c) give conjugate j-values, so each pair is one real
-quadratic factor.  Coefficients are rounded to integers; the rounding
-residual, and |Im j| at the real j, must stay below 0.25 or the
-computation retries at doubled precision.
+Values are computed in fixed point on Python ints: a real x is held as the
+integer x 2^P (floored), a complex number as a pair of them, at
+P = precision + _GUARD_BITS fractional bits.  The precision is
+pi sqrt|D| sum 1/a / (ln 2 root) + 64 bits over the reduced forms (a, b, c),
+root 1 for j and 3 for gamma_2: the first term bounds the bits of the
+largest coefficient of the invariant's class polynomial.  For each form
+(a, b, c), a plain int triple, w^(1/root) = exp((pi sqrt|D| + i pi b) /
+(root a)), w = 1/q, is built from pi (Machin), sqrt|D| (math.isqrt) and
+exp(t + i theta) = 2^k exp(r + i theta), so it has a relative error near
+2^-P however large it is (w is about 2^1433 for the principal form at |D|
+near 10^5).  pi and ln 2 are computed once per class polynomial and shared
+by its forms.  Both invariants come from the eta quotient
+f = Delta(2 tau) / Delta(tau) = q R, R = (P(q^2) / P(q))^24, with P from
+Euler's pentagonal series (Cohen, Alg. 7.6.1): j = (w / R) (1 + 256 q R)^3
+and gamma_2 = w^(1/3) R^(-1/3) (1 + 256 q R).  Where |q| < 2^-P, q floors to
+0 but w / R keeps its relative error near 2^-P.  The guard bits absorb the
+floorings of the series and of the expansion, a few units each.  Each
+value is taken at the reduced form's tau, where the series are shortest;
+the gamma_2 conjugate that a class needs is gamma_2(tau + k), a cube root of
+unity times gamma_2(tau), and k goes into the angle of w^(1/3).
+
+The class polynomial is expanded in real arithmetic: the invariant is real
+at the forms that are their own inverse (b = 0, b = a or a = c), and the
+forms (a, b, c) and (a, -b, c) give conjugate values, so each pair is one
+real quadratic factor.  Coefficients are rounded to integers; the rounding
+residual, and |Im x| at the real values, must stay below 0.25 or the
+computation retries at doubled precision.  The rounded class polynomial of
+gamma_2 gives H_D exactly: with H(X) = A(X^3) + X B(X^3) + X^2 C(X^3),
+H_D(Y) = A^3 + Y B^3 + Y^2 C^3 - 3 Y A B C.
 
 Rims need no ell-graph.  `locate_rim_vertices` checks its inputs, then
 builds the ell = 2 graph for the supersingular vertex set.  When p neither
@@ -95,26 +109,30 @@ def _div(x, y, bits: int):
     return ((a * c + b * d) << bits) // n, ((b * c - a * d) << bits) // n
 
 
-def _inverse_nome(form, bits: int, constants):
-    """w = 1/q = exp(pi sqrt|D| / a + i pi b / a) at the root of `form`, at `bits`.
+def _inverse_nome(form, bits: int, constants, root: int):
+    """w^(1/root) = exp((pi sqrt|D| + i pi b) / (root a)) at the root of `form`, at `bits`.
 
-    With t = pi sqrt|D| / a = k ln 2 + r and theta = pi b / a reduced into
-    (-pi, pi], w = 2^k exp(z) for z = r + i theta, |z| < 4.  exp(z) is the
-    Taylor series at z / 2^s squared s times; the squarings lose s bits and
-    k ln 2 up to 12, so this runs at bits + s + 40 and w keeps a relative
-    error near 2^-bits however large it is.  pi and ln 2 come in as
-    `constants`, from _constants at the same precision.
+    For root 1 this is w = 1/q.  For root 3 the angle is taken from b itself,
+    not from b mod 2a, so that the form (a, b - 2a, .) of tau + 1 gives the
+    value times exp(-2 pi i / 3), as gamma_2 needs.  With
+    t = pi sqrt|D| / (root a) = k ln 2 + r and theta = pi b / (root a)
+    reduced into (-pi, pi], the value is 2^k exp(z) for z = r + i theta,
+    |z| < 4.  exp(z) is the Taylor series at z / 2^s squared s times; the
+    squarings lose s bits and k ln 2 up to 12, so this runs at bits + s + 40
+    and the value keeps a relative error near 2^-bits however large it is.
+    pi and ln 2 come in as `constants`, from _constants at the same precision.
     """
     a, b, c = form
     s = math.isqrt(bits) + 2
     work = bits + s + 40
     pi, ln2 = constants
-    t = (pi * math.isqrt((4 * a * c - b * b) << 2 * work) >> work) // a
+    ra = root * a
+    t = (pi * math.isqrt((4 * a * c - b * b) << 2 * work) >> work) // ra
     k = t // ln2
-    m = b % (2 * a)
-    if m > a:
-        m -= 2 * a
-    z = ((t - k * ln2) >> s, pi * m // a >> s)
+    m = b % (2 * ra)
+    if m > ra:
+        m -= 2 * ra
+    z = ((t - k * ln2) >> s, pi * m // ra >> s)
     # |z| < 2^(2 - s) makes term n below 2^(n (2 - s)), so the count is fixed
     total = term = (1 << work, 0)
     for n in range(1, -(-work // (s - 2)) + 1):
@@ -146,22 +164,13 @@ def _pentagonal_length(form, bits: int) -> tuple[int, float]:
     return int((1 + math.sqrt(1 + 24 * e_max)) / 6), e_max
 
 
-def j_evaluate(form, precision: int, constants):
-    """Klein j at the root tau = (-b + i sqrt|D|) / 2a of `form`, as fixed point.
+def _eta_quotient(w, form, bits: int):
+    """r^8, r^24 and u = 1 + 256 q r^24 for q = 1/w and r = P(q^2) / P(q), at `bits`.
 
-    Returns (re, im) with j = (re + i im) / 2^(precision + _GUARD_BITS).
-    With f = Delta(2 tau) / Delta(tau) = q R, R = (P(q^2) / P(q))^24,
-    P(q) = prod (1 - q^n) from Euler's pentagonal series (Cohen, Alg.
-    7.6.1), j = (256 f + 1)^3 / f = (w / R) (1 + 256 q R)^3 with w = 1/q:
-    dividing the large w by R, which is near 1, keeps j's relative error
-    near 2^-bits even where q itself is below 2^-bits and rounds to 0.
-    `constants` are pi and ln 2 from _constants(precision).
+    P(q) = prod (1 - q^n) comes from Euler's pentagonal series (Cohen, Alg.
+    7.6.1), and q r^24 = Delta(2 tau) / Delta(tau).
     """
-    if precision > MAX_PRECISION_BITS:
-        raise ValueError(f"precision {precision} exceeds cap {MAX_PRECISION_BITS}")
-    bits = precision + _GUARD_BITS
     one = 1 << bits
-    w = _inverse_nome(form, bits, constants)
     norm = w[0] * w[0] + w[1] * w[1]
     q = (w[0] << 2 * bits) // norm, (-w[1] << 2 * bits) // norm
     # P(q) = 1 + sum_{n >= 1} (-1)^n (q^(n(3n-1)/2) + q^(n(3n+1)/2));
@@ -187,8 +196,60 @@ def j_evaluate(form, precision: int, constants):
     r8 = _mul(r8, r8, bits)
     r24 = _mul(r8, _mul(r8, r8, bits), bits)
     f = _mul(q, r24, bits)
-    u = (one + 256 * f[0], 256 * f[1])
+    return r8, r24, (one + 256 * f[0], 256 * f[1])
+
+
+def j_evaluate(form, precision: int, constants):
+    """Klein j at the root tau = (-b + i sqrt|D|) / 2a of `form`, as fixed point.
+
+    Returns (re, im) with j = (re + i im) / 2^(precision + _GUARD_BITS).
+    With f = Delta(2 tau) / Delta(tau) = q R, R = (P(q^2) / P(q))^24,
+    j = (256 f + 1)^3 / f = (w / R) (1 + 256 q R)^3 with w = 1/q:
+    dividing the large w by R, which is near 1, keeps j's relative error
+    near 2^-bits even where q itself is below 2^-bits and rounds to 0.
+    `constants` are pi and ln 2 from _constants(precision).
+    """
+    if precision > MAX_PRECISION_BITS:
+        raise ValueError(f"precision {precision} exceeds cap {MAX_PRECISION_BITS}")
+    bits = precision + _GUARD_BITS
+    w = _inverse_nome(form, bits, constants, 1)
+    _, r24, u = _eta_quotient(w, form, bits)
     return _mul(_div(w, r24, bits), _mul(_mul(u, u, bits), u, bits), bits)
+
+
+def _gamma2_twist(form) -> int:
+    """The k in {0, 1, 2} for which gamma_2(tau + k) is the conjugate that the reduced `form` stands for.
+
+    For 3 not dividing D, the conjugates of gamma_2 = j^(1/3) are its values
+    at forms (A, B, C) with 3 not dividing A and 3 dividing B, one in each
+    class (Cox, Primes of the form x^2 + ny^2, section 12; Enge and Morain
+    2002).  gamma_2(-1/tau) = gamma_2(tau) and gamma_2(tau + 1) =
+    exp(-2 pi i / 3) gamma_2(tau).  If 3 does not divide a, T^m (tau ->
+    tau + m) makes 3 divide B = b - 2am at m = -ab mod 3, as 2 = -1 and
+    a^2 = 1 mod 3.  If 3 divides a, S (tau -> -1/tau, the form (c, -b, a))
+    comes first, and then m = bc.  If 3 divides c too, T then S gives
+    (a - b + c, 2a - b, a), and k = 1 - (a - b + c)(2a - b) = 1 - b^2 = 0,
+    as b^2 = D is 1 mod 3: again bc mod 3.
+    """
+    a, b, c = form
+    return (b * c if a % 3 == 0 else -a * b) % 3
+
+
+def _gamma2_evaluate(form, precision: int, constants):
+    """The conjugate of gamma_2 = j^(1/3) for the reduced `form`, as fixed point like j_evaluate.
+
+    It is gamma_2(tau + k), k from _gamma2_twist, evaluated at the reduced
+    tau, where the series are shortest: tau + k has the same q, and its form
+    (a, b - 2ak, .) puts the twist into the cube root v = w^(1/3) of
+    _inverse_nome.  With r = P(q^2) / P(q), gamma_2 = (256 f + 1) / f^(1/3)
+    for f = q r^24 and f^(1/3) = r^8 / v, so gamma_2 = (v / r^8)(1 + 256 q r^24).
+    """
+    a, b, c = form
+    k = _gamma2_twist(form)
+    bits = precision + _GUARD_BITS
+    v = _inverse_nome((a, b - 2 * a * k, c - b * k + a * k * k), bits, constants, 3)
+    r8, _, u = _eta_quotient(_mul(_mul(v, v, bits), v, bits), form, bits)
+    return _mul(_div(v, r8, bits), u, bits)
 
 
 @dataclass(frozen=True)
@@ -202,22 +263,26 @@ class ClassPolynomial:
         return len(self.coefficients) - 1
 
 
-def _precision_for(forms) -> int:
+def _precision_for(forms, root: int) -> int:
+    """Bits for the class polynomial of j^(1/root): its height bound plus 64."""
     a, b, c = forms[0]
     height = math.pi * math.sqrt(4 * a * c - b * b) * math.fsum(1 / f[0] for f in forms)
-    return math.ceil(height / math.log(2)) + 64
+    return math.ceil(height / root / math.log(2)) + 64
 
 
-def _expand_at(forms, precision):
-    """Integer coefficients and rounding residual at one working precision.
+def _expand_at(forms, precision, root: int):
+    """Integer coefficients of H_D and rounding residual at one working precision.
 
-    Only the forms with b >= 0 are evaluated.  Where b = 0, a = b or a = c,
-    j is real; every other (a, b, c) also stands for (a, -b, c), whose j is
-    the complex conjugate, so the pair gives X^2 - 2 Re(j) X + |j|^2.  The
-    expansion is real, in fixed point at precision + _GUARD_BITS fractional
-    bits; the residual also takes |Im j| at the real j.  pi and ln 2 are
-    computed once for all the forms.
+    The roots expanded are the conjugates of j (root 1) or of gamma_2 =
+    j^(1/3) (root 3).  Only the forms with b >= 0 are evaluated.  Where
+    b = 0, a = b or a = c, the value is real; every other (a, b, c) also
+    stands for (a, -b, c), whose value is the complex conjugate, so the pair
+    gives X^2 - 2 Re(x) X + |x|^2.  The expansion is real, in fixed point at
+    precision + _GUARD_BITS fractional bits; the residual also takes |Im x|
+    at the real values.  pi and ln 2 are computed once for all the forms.
+    The class polynomial of gamma_2 is rounded, then cubed exactly.
     """
+    evaluate = j_evaluate if root == 1 else _gamma2_evaluate
     bits = precision + _GUARD_BITS
     one = 1 << bits
     coeffs = [one]
@@ -226,7 +291,7 @@ def _expand_at(forms, precision):
     for a, b, c in forms:
         if b < 0:
             continue
-        re, im = j_evaluate((a, b, c), precision, constants)
+        re, im = evaluate((a, b, c), precision, constants)
         if b == 0 or b == a or a == c:
             residual = max(residual, abs(im) / one)
             factor = (-re,)
@@ -245,26 +310,58 @@ def _expand_at(forms, precision):
         r = (c + half) >> bits
         residual = max(residual, abs(c - (r << bits)) / one)
         rounded.append(r)
-    return rounded, residual
+    return (rounded if root == 1 else _cubed_roots(rounded)), residual
+
+
+def _poly_mul(f, g):
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for k, y in enumerate(g):
+            out[i + k] += x * y
+    return out
+
+
+def _cubed_roots(coeffs):
+    """The monic integer polynomial whose roots are the cubes of the roots of `coeffs`.
+
+    Write H(X) = A(X^3) + X B(X^3) + X^2 C(X^3).  The product of H(X),
+    H(zeta X) and H(zeta^2 X) over the cube roots of unity zeta is
+    A^3 + Y B^3 + Y^2 C^3 - 3 Y A B C in Y = X^3, exactly over the integers.
+    Coefficients are lowest degree first.
+    """
+    A, B, C = (coeffs[i::3] for i in range(3))
+    out = [0] * len(coeffs)
+    terms = [(0, 1, _poly_mul(_poly_mul(A, A), A)), (1, 1, _poly_mul(_poly_mul(B, B), B)),
+             (2, 1, _poly_mul(_poly_mul(C, C), C)), (1, -3, _poly_mul(_poly_mul(A, B), C))]
+    for shift, scale, f in terms:
+        for i, x in enumerate(f):
+            out[i + shift] += scale * x
+    return out
 
 
 def hilbert_class_poly(D) -> ClassPolynomial:
     """The class polynomial of the order of discriminant D, |D| <= 1e5.
 
+    For 3 not dividing D, it is computed from the class polynomial of
+    gamma_2 = j^(1/3), at a third of the bits; for 3 dividing D, from j.
     The working precision is the one the reduced forms need.
     """
+    value = getattr(D, "value", D)
+    where = f"hilbert_class_poly(D={value}): "
+    if -value > MAX_ABS_DISC:
+        raise ValueError(f"{where}|D| = {-value} exceeds cap {MAX_ABS_DISC}")
     disc = quadform.as_discriminant(D)
-    where = f"hilbert_class_poly(D={disc.value}): "
-    if -disc.value > MAX_ABS_DISC:
-        raise ValueError(f"{where}|D| = {-disc.value} exceeds cap {MAX_ABS_DISC}")
     forms = quadform.reduced_forms(disc)
-    precision = _precision_for(forms)
+    root = 1 if disc.value % 3 == 0 else 3
+    precision = _precision_for(forms, root)
     if precision > MAX_PRECISION_BITS:
         raise ValueError(f"{where}needs {precision} bits, over the cap {MAX_PRECISION_BITS}")
     for retry in range(_MAX_RETRIES + 1):
         if retry:
             precision *= 2
-        coeffs, residual = _expand_at(forms, precision)
+        coeffs, residual = _expand_at(forms, precision, root)
         if residual < 0.25:
             return ClassPolynomial(tuple(coeffs))
         if 2 * precision > MAX_PRECISION_BITS:
@@ -306,9 +403,10 @@ def locate_rim_vertices(D, p: int, ell: int, *, modpoly_dir: str | None) -> list
     from . import ssgraph  # ssgraph imports this module for its CM seed
 
     with _named_errors(D, p, ell):
+        value = getattr(D, "value", D)
+        if -value > MAX_ABS_DISC:
+            raise ValueError(f"|D| = {-value} exceeds cap {MAX_ABS_DISC}")
         disc = quadform.as_discriminant(D)
-        if -disc.value > MAX_ABS_DISC:
-            raise ValueError(f"|D| = {-disc.value} exceeds cap {MAX_ABS_DISC}")
         h = quadform.class_number(disc)
         if h > MAX_ROOT_DEGREE:
             raise ValueError(

@@ -4,7 +4,7 @@ import mpmath as mp
 import pytest
 
 from isocycles import hilbert, quadform, ssgraph
-from isocycles.ff import PolyOverFp2, PrimeField, poly_roots
+from isocycles.ff import PolyOverFp2, PrimeField, _deflate, kronecker_symbol, poly_roots
 from isocycles.hilbert import (
     hilbert_class_poly,
     hilbert_mod_p,
@@ -31,8 +31,8 @@ SINGLETON_CLASS_POLYS = {
 }
 
 
-def e4_delta_j(tau, precision):
-    """j = E4^3 / Delta from the Eisenstein and discriminant q-series."""
+def e4_and_eta_product(tau, precision):
+    """q = exp(2 pi i tau), E4 and prod (1 - q^n) from their q-series."""
     q = mp.expjpi(2 * tau)
     absq = abs(q)
     lam = -mp.ln(absq)
@@ -46,13 +46,25 @@ def e4_delta_j(tau, precision):
         e4 += 240 * n**3 * qn / (1 - qn)
         eta *= 1 - qn
         qn *= q
+    return q, e4, eta
+
+
+def e4_delta_j(tau, precision):
+    """j = E4^3 / Delta from the Eisenstein and discriminant q-series."""
+    q, e4, eta = e4_and_eta_product(tau, precision)
     return e4**3 / (q * eta**24)
+
+
+def e4_eta8(tau, precision):
+    """gamma_2 = E4 / eta^8, eta^8 = exp(2 pi i tau / 3) prod (1 - q^n)^8."""
+    _, e4, eta = e4_and_eta_product(tau, precision)
+    return e4 / (mp.expjpi(2 * tau / 3) * eta**8)
 
 
 def e4_delta_class_poly(D):
     """H_D expanded over every reduced form in complex arithmetic."""
     forms = reduced_forms(D)
-    precision = hilbert._precision_for(forms)
+    precision = hilbert._precision_for(forms, 1)
     with mp.workprec(precision + 48):
         coeffs = [mp.mpc(1)]
         for a, b, _ in forms:
@@ -238,11 +250,13 @@ class TestClassPoly:
 
     def test_residual_is_honest_at_half_precision(self):
         # at half the bits the height asks for, the coefficients are wrong
-        # and the residual must say so
-        forms = reduced_forms(-2039)
-        precision = hilbert._precision_for(forms) // 2
-        _, residual = hilbert._expand_at(forms, precision)
-        assert residual >= 0.25
+        # and the residual must say so: on the gamma_2 route at -2039 and on
+        # the j route at -975, where 3 divides D
+        for disc, root in [(-2039, 3), (-975, 1)]:
+            forms = reduced_forms(disc)
+            precision = hilbert._precision_for(forms, root) // 2
+            _, residual = hilbert._expand_at(forms, precision, root)
+            assert residual >= 0.25, disc
 
     def test_residual_counts_im_j_at_the_real_forms(self, monkeypatch):
         # the forms with b = 0, b = a or a = c have real j; an imaginary part
@@ -257,7 +271,7 @@ class TestClassPoly:
 
         monkeypatch.setattr(hilbert, "j_evaluate", tilted)
         forms = reduced_forms(-71)
-        coeffs, residual = hilbert._expand_at(forms, hilbert._precision_for(forms))
+        coeffs, residual = hilbert._expand_at(forms, hilbert._precision_for(forms, 1), 1)
         assert tuple(coeffs) == e4_delta_class_poly(-71)
         assert 0.5 <= residual < 0.5001
 
@@ -271,17 +285,42 @@ class TestClassPoly:
         with pytest.raises(ValueError, match=r"^hilbert_class_poly\(D=-100003\): "
                            r"\|D\| = 100003 exceeds cap 100000$"):
             hilbert_class_poly(-(10**5 + 3))
+        # over Discriminant's own 10^8 cap too, but this cap is checked first
+        with pytest.raises(ValueError, match=r"^hilbert_class_poly\(D=-100000004\): "
+                           r"\|D\| = 100000004 exceeds cap 100000$"):
+            hilbert_class_poly(-100000004)
 
     def test_over_precision_cap_refused_before_any_j_evaluation(self, monkeypatch):
-        # |D| = 99991 is within the discriminant cap, but its 205 reduced
-        # forms need 10115 bits, over the 8192-bit precision cap
+        # |D| = 99999 is within the discriminant cap, but 3 divides it, so its
+        # class polynomial is computed from j, and its 224 reduced forms need
+        # 10275 bits, over the 8192-bit precision cap
         def forbidden(*args):
-            raise AssertionError("j evaluated before the refusal")
+            raise AssertionError("evaluated before the refusal")
 
         monkeypatch.setattr(hilbert, "j_evaluate", forbidden)
-        with pytest.raises(ValueError, match=r"hilbert_class_poly\(D=-99991\): "
-                           r"needs 10115 bits, over the cap 8192"):
-            hilbert_class_poly(-99991)
+        monkeypatch.setattr(hilbert, "_gamma2_evaluate", forbidden)
+        with pytest.raises(ValueError, match=r"hilbert_class_poly\(D=-99999\): "
+                           r"needs 10275 bits, over the cap 8192"):
+            hilbert_class_poly(-99999)
+
+    def test_gamma2_admits_minus_99991_and_deuring_certifies_it(self):
+        # by j, -99991 would need 10115 bits, over the cap; by gamma_2 it
+        # needs 3415.  At p = 613, inert in Q(sqrt(-99991)), every root of
+        # H mod p is supersingular, so H mod p deflates to 1 over the
+        # vertices of the ell = 2 graph
+        assert hilbert._precision_for(reduced_forms(-99991), 1) == 10115
+        assert hilbert._precision_for(reduced_forms(-99991), 3) == 3415
+        p = 613
+        assert kronecker_symbol(-99991, p) == -1
+        poly = hilbert_class_poly(-99991)
+        assert poly.degree == class_number(-99991) == 205
+        graph = build_graph(p, 2)
+        c = list(hilbert_mod_p(-99991, graph.field).coeff_pairs())
+        roots = 0
+        for v in graph.vertices:
+            m, c = _deflate(c, v.key(), p, graph.field.non_residue)
+            roots += m
+        assert c == [(1, 0)] and roots == 205
 
     @pytest.mark.parametrize("start,tried", [(500, [500, 1000, 2000, 4000]),
                                              (3000, [3000, 6000])])
@@ -289,16 +328,102 @@ class TestClassPoly:
         # doublings stop after three retries or at the precision cap
         used = []
 
-        def noisy(forms, precision):
+        def noisy(forms, precision, root):
             used.append(precision)
             return [0] * (len(forms) + 1), 0.5
 
-        monkeypatch.setattr(hilbert, "_precision_for", lambda forms: start)
+        monkeypatch.setattr(hilbert, "_precision_for", lambda forms, root: start)
         monkeypatch.setattr(hilbert, "_expand_at", noisy)
         with pytest.raises(ArithmeticError, match=rf"^hilbert_class_poly\(D=-71\): "
                            rf"rounding residual 0.5 at {tried[-1]} bits"):
             hilbert_class_poly(-71)
         assert used == tried
+
+
+def form_with_3_coprime_a_and_3_dividing_b(form):
+    """An equivalent form (A, B, C) with 3 not dividing A and 3 dividing B.
+
+    Found by search over the unimodular substitutions x -> p x + q y,
+    y -> r x + s y with entries in [-2, 2], independently of _gamma2_twist.
+    """
+    a, b, c = form
+    for p in range(-2, 3):
+        for q in range(-2, 3):
+            for r in range(-2, 3):
+                for s in range(-2, 3):
+                    if p * s - q * r != 1:
+                        continue
+                    A = a * p * p + b * p * r + c * r * r
+                    B = 2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s
+                    C = a * q * q + b * q * s + c * s * s
+                    if A % 3 and B % 3 == 0:
+                        return A, B, C
+    raise AssertionError(form)
+
+
+# below 2100, 3 does not divide 700 of the 1049 discriminants
+GAMMA2_DISCS = [-n for n in range(3, 2100) if -n % 4 in (0, 1) and n % 3]
+
+
+class TestGamma2:
+    def test_matches_e4_over_eta8_at_an_equivalent_form(self):
+        # the value for a form is gamma_2 = E4 / eta^8 at the root of an
+        # equivalent form with 3 not dividing A and 3 dividing B; the
+        # search covers every case of the twist: 3 dividing a alone, a and c
+        # both (3, 1, 3), (9, 7, 3), and neither
+        for form in CM_FORMS + [(3, 1, 3), (3, 2, 5), (3, -1, 8), (6, 5, 6)]:
+            other = form_with_3_coprime_a_and_3_dividing_b(form)
+            with mp.workprec(400):
+                expected = e4_eta8(cm_point(other), 200)
+                got = as_mpc(hilbert._gamma2_evaluate(form, 120, hilbert._constants(120)), 120)
+                assert abs(got - expected) < mp.mpf(2) ** -100 * abs(expected), (form, other)
+
+    def test_cubed_roots(self):
+        # gamma_2(i) = 12 and gamma_2((1 + sqrt(-7)) / 2) = -15
+        assert hilbert._cubed_roots([-12, 1]) == [-1728, 1]
+        assert hilbert._cubed_roots([15, 1]) == [3375, 1]
+        for roots in [(2,), (2, -3), (2, -3, 5), (1, 2, -3, 5, 7), (0, -1, 4, 4, 6, -2, 9)]:
+            poly, cubes = [1], [1]
+            for x in roots:
+                poly = hilbert._poly_mul(poly, [-x, 1])
+                cubes = hilbert._poly_mul(cubes, [-x ** 3, 1])
+            assert hilbert._cubed_roots(poly) == cubes, roots
+
+    def test_route_agrees_with_j_below_2100(self):
+        # every D with 3 <= |D| < 2100 that 3 does not divide, both routes
+        # through _expand_at, each at the bits its height asks for
+        assert len(GAMMA2_DISCS) == 700
+        for disc in GAMMA2_DISCS:
+            forms = reduced_forms(disc)
+            by_j, res_j = hilbert._expand_at(forms, hilbert._precision_for(forms, 1), 1)
+            by_g, res_g = hilbert._expand_at(forms, hilbert._precision_for(forms, 3), 3)
+            assert by_g == by_j and res_j < 0.25 and res_g < 0.25, disc
+            assert hilbert_class_poly(disc).coefficients == tuple(by_g), disc
+
+    @pytest.mark.parametrize("disc", [-19999, -20011, -40003, -99995])
+    def test_route_agrees_with_j_at_large_discriminant(self, disc):
+        forms = reduced_forms(disc)
+        by_j, res_j = hilbert._expand_at(forms, hilbert._precision_for(forms, 1), 1)
+        assert res_j < 0.25
+        assert hilbert_class_poly(disc).coefficients == tuple(by_j)
+
+    @pytest.mark.parametrize("disc", [-35, -56, -95])
+    def test_wrong_cube_root_of_unity_fails(self, monkeypatch, disc):
+        # one conjugate off by a cube root of unity, at a real form (b = 0,
+        # b = a or a = c) or at a conjugate pair: the residual stays at or
+        # above 0.25 through every retry, and the named error says so
+        twist = hilbert._gamma2_twist
+        for wrong in reduced_forms(disc):
+            if wrong[1] < 0:
+                continue
+            for off in (1, 2):
+                monkeypatch.setattr(hilbert, "_gamma2_twist", lambda form, w=wrong, o=off:
+                                    (twist(form) + o * (form == w)) % 3)
+                with pytest.raises(ArithmeticError, match=rf"^hilbert_class_poly\(D={disc}\): "
+                                   r"rounding residual \S+ at \d+ bits is not below 0.25$"):
+                    hilbert_class_poly(disc)
+        monkeypatch.setattr(hilbert, "_gamma2_twist", twist)
+        assert hilbert_class_poly(disc).coefficients == e4_delta_class_poly(disc)
 
 
 class TestModP:
@@ -386,6 +511,8 @@ class TestLocate:
         (150001, 3, -100787, "|D| = 100787 exceeds cap 100000"),
         # h(-99999999) = 6976 is over the root-finding cap too
         (179, 2, -99999999, "|D| = 99999999 exceeds cap 100000"),
+        # and over Discriminant's 10^8 cap: the same refusal, before factoring
+        (179, 2, -100000004, "|D| = 100000004 exceeds cap 100000"),
     ])
     def test_input_refusals_before_any_work(self, monkeypatch, p, ell, disc, message):
         def forbidden(*args, **kwargs):
