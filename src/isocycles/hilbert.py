@@ -1,41 +1,37 @@
 """Hilbert class polynomials from complex CM points, reduction mod p, rim location.
 
-H_D is computed from one of two class invariants.  For 3 dividing D it is
-j itself.  For 3 not dividing D it is gamma_2 = E4 / eta^8 = j^(1/3), whose
-class polynomial has a third of the coefficient bits (Cox, Primes of the
-form x^2 + ny^2, section 12; Enge and Morain, "Comparing invariants for
-class fields of imaginary quadratic fields", 2002); H_D is then rebuilt
-from it exactly, in integers.
+H_D is computed from j when 3 divides D.  Otherwise it comes from the class
+polynomial of gamma_2 = E4 / eta^8 = j^(1/3), which has a third of the
+coefficient bits (Cox, Primes of the form x^2 + ny^2, section 12; Enge and
+Morain, "Comparing invariants for class fields of imaginary quadratic
+fields", 2002): that polynomial H(X) = A(X^3) + X B(X^3) + X^2 C(X^3) is
+rounded, and H_D(Y) = A^3 + Y B^3 + Y^2 C^3 - 3 Y A B C follows exactly.
 
 Values are computed in fixed point on Python ints: a real x is held as the
 integer x 2^P (floored), a complex number as a pair of them, at
 P = precision + _GUARD_BITS fractional bits.  The precision is
-pi sqrt|D| sum 1/a / (ln 2 root) + 64 bits over the reduced forms (a, b, c),
+pi sqrt|D| sum 1/a / (root ln 2) + 64 bits over the reduced forms (a, b, c),
 root 1 for j and 3 for gamma_2: the first term bounds the bits of the
-largest coefficient of the invariant's class polynomial.  For each form
-(a, b, c), a plain int triple, w^(1/root) = exp((pi sqrt|D| + i pi b) /
-(root a)), w = 1/q, is built from pi (Machin), sqrt|D| (math.isqrt) and
-exp(t + i theta) = 2^k exp(r + i theta), so it has a relative error near
-2^-P however large it is (w is about 2^1433 for the principal form at |D|
-near 10^5).  pi and ln 2 are computed once per class polynomial and shared
-by its forms.  Both invariants come from the eta quotient
-f = Delta(2 tau) / Delta(tau) = q R, R = (P(q^2) / P(q))^24, with P from
-Euler's pentagonal series (Cohen, Alg. 7.6.1): j = (w / R) (1 + 256 q R)^3
-and gamma_2 = w^(1/3) R^(-1/3) (1 + 256 q R).  Where |q| < 2^-P, q floors to
-0 but w / R keeps its relative error near 2^-P.  The guard bits absorb the
-floorings of the series and of the expansion, a few units each.  Each
-value is taken at the reduced form's tau, where the series are shortest;
-the gamma_2 conjugate that a class needs is gamma_2(tau + k), a cube root of
-unity times gamma_2(tau), and k goes into the angle of w^(1/3).
+largest coefficient.  For each form, a plain int triple, w^(1/root) =
+exp((pi sqrt|D| + i pi b) / (root a)), w = 1/q, is built from pi (Machin),
+sqrt|D| (math.isqrt) and 2^k exp(r + i theta), so it has a relative error
+near 2^-P however large it is (w is about 2^1433 for the principal form at
+|D| near 10^5).  pi and ln 2 are computed once per class polynomial.  Both
+invariants come from the eta quotient f = Delta(2 tau) / Delta(tau) = q R,
+R = (P(q^2) / P(q))^24, with P from Euler's pentagonal series (Cohen, Alg.
+7.6.1): j = (w / R) (1 + 256 q R)^3 and gamma_2 = w^(1/3) R^(-1/3)
+(1 + 256 q R).  Where |q| < 2^-P, q floors to 0 but w / R keeps its
+relative error near 2^-P.  The guard bits absorb the floorings of the
+series and of the expansion, a few units each.  Every value is taken at a
+reduced form's tau, where the series are shortest; the gamma_2 conjugate
+of a class is a cube root of unity times gamma_2 there.
 
 The class polynomial is expanded in real arithmetic: the invariant is real
 at the forms that are their own inverse (b = 0, b = a or a = c), and the
 forms (a, b, c) and (a, -b, c) give conjugate values, so each pair is one
 real quadratic factor.  Coefficients are rounded to integers; the rounding
-residual, and |Im x| at the real values, must stay below 0.25 or the
-computation retries at doubled precision.  The rounded class polynomial of
-gamma_2 gives H_D exactly: with H(X) = A(X^3) + X B(X^3) + X^2 C(X^3),
-H_D(Y) = A^3 + Y B^3 + Y^2 C^3 - 3 Y A B C.
+residual, and |Im x| at the real values x, must stay below 0.25 or the
+computation retries at doubled precision.
 
 Rims need no ell-graph.  `locate_rim_vertices` checks its inputs, then
 builds the ell = 2 graph for the supersingular vertex set.  When p neither
@@ -218,7 +214,7 @@ def j_evaluate(form, precision: int, constants):
 
 
 def _gamma2_twist(form) -> int:
-    """The k in {0, 1, 2} for which gamma_2(tau + k) is the conjugate that the reduced `form` stands for.
+    """k in {0, 1, 2} such that gamma_2(tau + k) is the conjugate the reduced `form` stands for.
 
     For 3 not dividing D, the conjugates of gamma_2 = j^(1/3) are its values
     at forms (A, B, C) with 3 not dividing A and 3 dividing B, one in each
@@ -236,13 +232,12 @@ def _gamma2_twist(form) -> int:
 
 
 def _gamma2_evaluate(form, precision: int, constants):
-    """The conjugate of gamma_2 = j^(1/3) for the reduced `form`, as fixed point like j_evaluate.
+    """The conjugate of gamma_2 for the reduced `form`, as fixed point like j_evaluate.
 
-    It is gamma_2(tau + k), k from _gamma2_twist, evaluated at the reduced
-    tau, where the series are shortest: tau + k has the same q, and its form
-    (a, b - 2ak, .) puts the twist into the cube root v = w^(1/3) of
-    _inverse_nome.  With r = P(q^2) / P(q), gamma_2 = (256 f + 1) / f^(1/3)
-    for f = q r^24 and f^(1/3) = r^8 / v, so gamma_2 = (v / r^8)(1 + 256 q r^24).
+    It is gamma_2(tau + k), k from _gamma2_twist, at the reduced tau: tau + k
+    has the same q, and its form (a, b - 2ak, .) puts the twist into the cube
+    root v = w^(1/3).  With r = P(q^2) / P(q) and f = q r^24,
+    gamma_2 = (1 + 256 f) / f^(1/3) = (v / r^8)(1 + 256 f).
     """
     a, b, c = form
     k = _gamma2_twist(form)

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import mpmath as mp
@@ -347,18 +348,22 @@ def form_with_3_coprime_a_and_3_dividing_b(form):
     y -> r x + s y with entries in [-2, 2], independently of _gamma2_twist.
     """
     a, b, c = form
-    for p in range(-2, 3):
-        for q in range(-2, 3):
-            for r in range(-2, 3):
-                for s in range(-2, 3):
-                    if p * s - q * r != 1:
-                        continue
-                    A = a * p * p + b * p * r + c * r * r
-                    B = 2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s
-                    C = a * q * q + b * q * s + c * s * s
-                    if A % 3 and B % 3 == 0:
-                        return A, B, C
+    for p, q, r, s in itertools.product(range(-2, 3), repeat=4):
+        A = a * p * p + b * p * r + c * r * r
+        B = 2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s
+        if p * s - q * r == 1 and A % 3 and B % 3 == 0:
+            return A, B, a * q * q + b * q * s + c * s * s
     raise AssertionError(form)
+
+
+def poly_from_roots(roots):
+    """The monic integer polynomial with the given roots, lowest degree first."""
+    poly = [1]
+    for x in roots:
+        poly = [0] + poly
+        for i in range(len(poly) - 1):
+            poly[i] -= x * poly[i + 1]
+    return poly
 
 
 # below 2100, 3 does not divide 700 of the 1049 discriminants
@@ -383,11 +388,8 @@ class TestGamma2:
         assert hilbert._cubed_roots([-12, 1]) == [-1728, 1]
         assert hilbert._cubed_roots([15, 1]) == [3375, 1]
         for roots in [(2,), (2, -3), (2, -3, 5), (1, 2, -3, 5, 7), (0, -1, 4, 4, 6, -2, 9)]:
-            poly, cubes = [1], [1]
-            for x in roots:
-                poly = hilbert._poly_mul(poly, [-x, 1])
-                cubes = hilbert._poly_mul(cubes, [-x ** 3, 1])
-            assert hilbert._cubed_roots(poly) == cubes, roots
+            assert (hilbert._cubed_roots(poly_from_roots(roots))
+                    == poly_from_roots([x ** 3 for x in roots])), roots
 
     def test_route_agrees_with_j_below_2100(self):
         # every D with 3 <= |D| < 2100 that 3 does not divide, both routes
