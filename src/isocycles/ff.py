@@ -301,8 +301,29 @@ def _pmulmod(u, v, f, p, n):
 
 def _inv2(a, b, p, n):
     norm = (a * a - n * b * b) % p
+    if norm == 0:
+        raise ZeroDivisionError(f"inverse of 0 in F_(p^2), p={p}")
     inv = pow(norm, p - 2, p)
     return (a * inv % p, -b * inv % p)
+
+
+def _mul2(x, y, p, n):
+    (a, b), (c, d) = x, y
+    return ((a * c + n * b * d) % p, (a * d + b * c) % p)
+
+
+def _axpy(x, y, k, p):
+    """x + k*y for pairs x, y and an integer k."""
+    return ((x[0] + k * y[0]) % p, (x[1] + k * y[1]) % p)
+
+
+def _pow2(x, e, p, n):
+    r = (1, 0)
+    while e:
+        if e & 1:
+            r = _mul2(r, x, p, n)
+        x, e = _mul2(x, x, p, n), e >> 1
+    return r
 
 
 def _sqrt_fp(x, p, n):
@@ -487,6 +508,78 @@ def _quadratic_roots(c, p, n):
             ((-ra - a) * half % p, (-rb - b) * half % p)]
 
 
+def _cube_root(x, p, n):
+    """A cube root of x in F_{p^2}, or None if x is not a cube.
+
+    Adleman-Manders-Miller: with p^2 - 1 = 3^e m, 3 not dividing m, and
+    k = m mod 3, x = (x^j)^3 (x^m)^k for j = (1 - mk)/3.  x^m lies in the
+    3-Sylow subgroup, generated by z = g^m for the first non-cube g of
+    _candidates; its discrete log L to base z, taken digit by digit in base
+    3, is divisible by 3 exactly when x is a cube, and then x^j z^(kL/3)
+    is a cube root.
+    """
+    if x == (0, 0):
+        return x
+    order = p * p - 1
+    m, e = order, 0
+    while m % 3 == 0:
+        m, e = m // 3, e + 1
+    y = _pow2(x, m, p, n)
+    if _pow2(y, 3 ** (e - 1), p, n) != (1, 0):
+        return None
+    k = m % 3
+    root = _pow2(x, (1 - m * k) // 3 % order, p, n)
+    if y == (1, 0):
+        return root
+    z, w = next((z, w) for z in (_pow2(g, m, p, n) for g in _candidates(p))
+                if (w := _pow2(z, 3 ** (e - 1), p, n)) != (1, 0))
+    z_inv = _inv2(*z, p, n)
+    unity = [(1, 0), w, _mul2(w, w, p, n)]
+    log, t = 0, y
+    for i in range(1, e):
+        digit = unity.index(_pow2(t, 3 ** (e - 1 - i), p, n))
+        t = _mul2(t, _pow2(z_inv, digit * 3**i, p, n), p, n)
+        log += digit * 3**i
+    return _mul2(root, _pow2(z, k * log // 3, p, n), p, n)
+
+
+def _cubic_roots(c, p, n):
+    """The three roots of the monic cubic c = [c0, c1, c2, 1] with
+    multiplicity, or None unless c splits into linear factors over F_{p^2}.
+
+    Cardano: X = t - c2/3 gives t^3 + P t + Q.  With u^3 = -Q/2 +
+    sqrt(Q^2/4 + P^3/27), the other sign of the square root when that is 0,
+    and v = -P/(3u), the roots are t = w u + v/w for the three cube roots of
+    unity w; P = 0 makes them the cube roots of -Q.  A non-square
+    Q^2/4 + P^3/27 or a non-cube u^3 means c does not split.
+    """
+    c0, c1, c2, _ = c
+    third, half = pow(3, p - 2, p), (p + 1) // 2
+    h = _axpy((0, 0), c2, third, p)
+    h2 = _mul2(h, h, p, n)
+    P = _axpy(c1, h2, -3, p)
+    Q = _axpy(c0, _mul2(h, _axpy(c1, h2, -2, p), p, n), -1, p)
+    mq = _axpy((0, 0), Q, -half, p)
+    cube_p = _mul2(_mul2(P, P, p, n), P, p, n)
+    try:
+        r = _sqrt_fp2(_axpy(_mul2(mq, mq, p, n), cube_p, pow(27, p - 2, p), p), p, n)
+    except ArithmeticError:
+        return None
+    cube = _axpy(mq, r, 1, p)
+    if cube == (0, 0):
+        cube = _axpy(mq, r, -1, p)
+    if cube == (0, 0):
+        return [_axpy((0, 0), h, -1, p)] * 3
+    u = _cube_root(cube, p, n)
+    if u is None:
+        return None
+    v = _mul2(_axpy((0, 0), P, -third, p), _inv2(*u, p, n), p, n)
+    w = _axpy((-half, 0), _sqrt_fp2((p - 3, 0), p, n), half, p)
+    w2 = _mul2(w, w, p, n)
+    return [_axpy(_axpy(_mul2(wu, u, p, n), _mul2(wv, v, p, n), 1, p), h, -1, p)
+            for wu, wv in (((1, 0), (1, 0)), (w, w2), (w2, w))]
+
+
 def _roots_internal(c, p, n):
     """All roots of c in F_{p^2} with multiplicity, as sorted (a, b) pairs."""
     c = _monic(c, p, n)
@@ -560,18 +653,24 @@ def poly_roots(f: PolyOverFp2, known_root: tuple[int, int] | None = None) -> lis
     the roots, and multiplicities are read off by repeated division.  Given
     a root the caller already knows, as a reduced (a, b) pair, f is divided
     by it first, and a quadratic left over is solved with one square root in
-    F_{p^2}; a nonzero remainder refuses a known root that is not one.
+    F_{p^2}; a nonzero remainder refuses a known root that is not one.  A
+    cubic, f itself or the quotient left by the known root, is solved by
+    Cardano's formula when it splits into linear factors over F_{p^2}, and
+    by the general splitting otherwise.
     """
     if f.degree < 0:
         raise ValueError("zero polynomial has no root multiset")
     if f.degree > MAX_ROOT_DEGREE:
         raise ValueError(f"degree {f.degree} exceeds cap {MAX_ROOT_DEGREE}")
     p, n = f.field.p, f.field.non_residue
-    c = list(f.coeff_pairs())
-    if known_root is None:
-        return _roots_internal(c, p, n)
-    q, rem = _divide_out_root(_monic(c, p, n), known_root, p, n) if len(c) > 1 else ([], c[0])
-    if rem != (0, 0):
-        raise ArithmeticError(f"known root {known_root[0]}+{known_root[1]}*s is not a root")
-    rest = _quadratic_roots(q, p, n) if len(q) == 3 else _roots_internal(q, p, n)
-    return sorted([known_root, *rest])
+    c = _monic(list(f.coeff_pairs()), p, n)
+    known = []
+    if known_root is not None:
+        c, rem = _divide_out_root(c, known_root, p, n) if len(c) > 1 else ([], c[0])
+        if rem != (0, 0):
+            raise ArithmeticError(f"known root {known_root[0]}+{known_root[1]}*s is not a root")
+        known = [known_root]
+        if len(c) == 3:
+            return sorted(known + _quadratic_roots(c, p, n))
+    rest = _cubic_roots(c, p, n) if len(c) == 4 else None
+    return sorted(known + (rest or _roots_internal(c, p, n)))

@@ -4,8 +4,9 @@ One supersingular j-invariant is produced from congruence conditions on p
 (or a CM seed when p = 1 mod 12), the graph is closed under roots of the
 instantiated modular polynomial, and the vertex census is validated
 against the closed-form count.  At ell = 2 a vertex's roots other than its
-BFS parent come from one square root in F_{p^2} (Charles-Goren-Lauter);
-the seed, and every vertex for ell >= 3, use the general splitting.
+BFS parent come from one square root in F_{p^2} (Charles-Goren-Lauter),
+and the seed's come from Cardano's formula, since its cubic splits in
+F_{p^2}; every vertex for ell >= 3 uses the general splitting.
 """
 
 from __future__ import annotations
