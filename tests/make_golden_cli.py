@@ -4,12 +4,13 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/make_golden_cli.py
 
-Each command runs in-process through `isocycles.cli.main`.  The file holds
-per command its argv, exit code and the sha256 digests of stdout and
-stderr; outputs of at most SMALL characters are kept as text too, so that
-a failing test can show the diff.  The script prints each argv whose entry
-changed.  A change to an entry is a change to test data: say which and why
-in CHANGES.md.
+It takes no arguments: given any, it prints this text to stderr, exits 2
+and writes nothing.  Each command runs in-process through
+`isocycles.cli.main`.  The file holds per command its argv, exit code and
+the sha256 digests of stdout and stderr; outputs of at most SMALL
+characters are kept as text too, so that a failing test can show the
+diff.  The script prints each argv whose entry changed.  A change to an
+entry is a change to test data: say which and why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -106,7 +107,10 @@ def dump(entries: list[dict]) -> str:
     return "[\n" + ",\n".join(json.dumps(e, sort_keys=True) for e in entries) + "\n]\n"
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    if argv:
+        print(__doc__, file=sys.stderr)
+        return 2
     old = {tuple(e["argv"]): e for e in load()}
     entries = [run(argv) for argv in corpus()]
     for e in entries:
@@ -119,4 +123,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from isocycles import cli, hilbert, ordercount, quadform, ssgraph
+from isocycles import cli, ff, hilbert, ordercount, quadform, ssgraph
 from isocycles.cli import main
 from oracles import rims_on_ell_graph
 
@@ -25,6 +25,13 @@ class TestGraphCommand:
         assert code == 2
         assert err.startswith(
             "error: build_graph(p=13, ell=2): initial_supersingular_j(p=13): no CM seed")
+
+    def test_zero_inverse_exits_2_with_stage(self, capsys, monkeypatch):
+        # a cube root of 0 makes Cardano invert 3u = 0 in the seed cubic
+        monkeypatch.setattr(ff, "_cube_root", lambda x, p, n: (0, 0))
+        code, out, err = run(capsys, "graph", "--p", "179", "--ell", "2")
+        assert code == 2 and out == ""
+        assert err == "error: build_graph(p=179, ell=2): inverse of 0 in F_(p^2), p=179\n"
 
     def test_json_output(self, capsys, tmp_path):
         out = tmp_path / "g.json"

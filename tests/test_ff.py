@@ -12,6 +12,10 @@ from isocycles.ff import (
     PrimeField,
     QuadExtElement,
     _candidates,
+    _cube_root,
+    _cubic_roots,
+    _inv2,
+    _roots_internal,
     _split_linear,
     _sqrt_fp2,
     divisors,
@@ -22,6 +26,7 @@ from isocycles.ff import (
     next_prime,
     poly_roots,
 )
+from isocycles.modpoly import instantiate, reduce_mod_p, resolve_modular_polynomial
 from oracles import poly_eval, poly_mul
 
 SMALL_PRIMES = [5, 7, 11, 13, 17, 19, 23, 41, 97]
@@ -166,6 +171,13 @@ class TestQuadExt:
         n_inv = pow(F.non_residue, 7 - 2, 7)
         assert s.inverse() == F.elem(0, n_inv)
         assert F.elem(2).inverse() == F.elem(4)
+
+    @pytest.mark.parametrize("p", [5, 13, 179])
+    def test_pair_inverse_of_zero_rejected(self, p):
+        F = PrimeField(p)
+        with pytest.raises(ZeroDivisionError, match=f"inverse of 0 in F_\\(p\\^2\\), p={p}"):
+            _inv2(0, 0, p, F.non_residue)
+        assert F.elem(*_inv2(3, 1, p, F.non_residue)) == F.elem(3, 1).inverse()
 
     def test_zero_inverse_rejected(self):
         with pytest.raises(ValueError):
@@ -357,3 +369,111 @@ class TestKnownRoot:
         f = poly_mul(PolyOverFp2.from_roots(F, [(1, 0)]), PolyOverFp2(F, [(0, -1), 0, 1]))
         with pytest.raises(ArithmeticError, match="not a square"):
             poly_roots(f, known_root=(1, 0))
+
+
+def _cubic(F, c2, c1, c0):
+    """The monic cubic X^3 + c2 X^2 + c1 X + c0, coefficients ints or elements."""
+    return [(F.zero + x).key() for x in (c0, c1, c2)] + [(1, 0)]
+
+
+def _phi2(p, j):
+    """Phi_2(X, j) mod p as a coefficient pair list."""
+    rows = reduce_mod_p(resolve_modular_polynomial(2, None), p)
+    return instantiate(rows, (j % p, 0), p, PrimeField(p).non_residue)
+
+
+class TestCubeRoot:
+    @pytest.mark.parametrize("p,v3", [(109, 3), (163, 4)])
+    def test_every_element(self, p, v3):
+        # p^2 - 1 = 3^v3 m: the 3-Sylow discrete log takes v3 - 1 digits
+        assert (p * p - 1) % 3**v3 == 0 and (p * p - 1) % 3 ** (v3 + 1)
+        F = PrimeField(p)
+        elements = list(itertools.product(range(p), repeat=2))
+        roots = {z: _cube_root(z, p, F.non_residue) for z in elements}
+        found = {z for z, r in roots.items() if r is not None}
+        assert len(found) == (p * p - 1) // 3 + 1
+        assert found == {(F.elem(*x) ** 3).key() for x in elements}
+        assert all((F.elem(*roots[z]) ** 3).key() == z for z in found)
+
+
+class TestCubicRoots:
+    def test_double_root_at_1728_over_179(self):
+        # Phi_2(X, 1728) = (X - 1728)(X - 287496)^2, the seed cubic at p = 179:
+        # 1728 = 117 and 287496 = 22 mod 179
+        roots = _cubic_roots(_phi2(179, 1728), 179, PrimeField(179).non_residue)
+        assert sorted(roots) == [(22, 0), (22, 0), (117, 0)]
+
+    def test_triple_root_at_0_over_1013(self):
+        # Phi_2(X, 0) = (X - 54000)^3, the seed cubic at p = 1013: P = Q = 0
+        # makes both signs of u^3 zero; 54000 = 311 mod 1013
+        c = _phi2(1013, 0)
+        assert c == _cubic(PrimeField(1013), -3 * 54000, 3 * 54000**2, -54000**3)
+        assert _cubic_roots(c, 1013, PrimeField(1013).non_residue) == [(311, 0)] * 3
+
+    @pytest.mark.parametrize("p", [13, 179])
+    def test_pure_cubics_take_either_sign(self, p):
+        # X^3 - a has P = 0: its roots are the cube roots of a, and the
+        # first u^3 = a/2 + sqrt(a^2/4) is 0 whenever that root is -a/2
+        F = PrimeField(p)
+        n = F.non_residue
+        first_zero = 0
+        for a in itertools.product(range(1, p), range(3)):
+            c = _cubic(F, 0, 0, F.elem(0) - F.elem(*a))
+            half = F.elem(*a) / 2
+            first_zero += (F.elem(*_sqrt_fp2((half * half).key(), p, n)) == -half)
+            roots = _cubic_roots(c, p, n)
+            if _cube_root(a, p, n) is None:
+                assert roots is None
+            else:
+                assert len(roots) == 3 and all((F.elem(*r) ** 3).key() == a for r in roots)
+                assert sorted(roots) == _roots_internal(c, p, n)
+        assert 0 < first_zero < 3 * (p - 1)
+
+    def test_one_root_and_no_root_fall_back(self):
+        # (X - 2)(X^2 - t) for a non-square t, and X^3 - g for a non-cube g
+        # plus cubics with P != 0 and no root: _cubic_roots refuses them and
+        # poly_roots finds what brute-force evaluation finds
+        p = 13
+        F = PrimeField(p)
+        n = F.non_residue
+        elements = list(itertools.product(range(p), repeat=2))
+        t = next(z for z in elements if kronecker_symbol(z[0] ** 2 - n * z[1] ** 2, p) == -1)
+        g = next(z for z in elements if z != (0, 0) and _cube_root(z, p, n) is None)
+        one_root = poly_mul(PolyOverFp2(F, [(-2, 0), 1]), PolyOverFp2(F, [(-t[0], -t[1]), 0, 1]))
+        cases = [one_root, PolyOverFp2(F, [(-g[0], -g[1]), 0, 0, 1])]
+        rng = random.Random(13)
+        while len(cases) < 6:
+            f = PolyOverFp2(F, [(rng.randrange(p), rng.randrange(p)) for _ in range(3)] + [1])
+            if not any(poly_eval(f, F.elem(*x)).key() == (0, 0) for x in elements):
+                cases.append(f)
+        for f in cases:
+            assert _cubic_roots(list(f.coeff_pairs()), p, n) is None
+            brute = [x for x in elements if poly_eval(f, F.elem(*x)).key() == (0, 0)]
+            assert poly_roots(f) == brute
+        assert poly_roots(one_root) == [(2, 0)]
+
+    def test_every_monic_cubic_over_f25(self):
+        p = 5
+        F = PrimeField(p)
+        n = F.non_residue
+        elements = list(itertools.product(range(p), repeat=2))
+        powers = [(x, (F.elem(*x) ** 2).key(), (F.elem(*x) ** 3).key()) for x in elements]
+        split = 0
+        for c0, c1, c2 in itertools.product(elements, repeat=3):
+            # x^3 + c2 x^2 + c1 x + c0 = 0, both coordinates, on (a, b) pairs
+            zeros = [x for (x, x2, x3) in powers
+                     if (x3[0] + c2[0] * x2[0] + n * c2[1] * x2[1] + c1[0] * x[0]
+                         + n * c1[1] * x[1] + c0[0]) % p == 0
+                     and (x3[1] + c2[0] * x2[1] + c2[1] * x2[0] + c1[0] * x[1]
+                          + c1[1] * x[0] + c0[1]) % p == 0]
+            f = PolyOverFp2(F, [c0, c1, c2, 1])
+            rebuilt = [r for r in itertools.combinations_with_replacement(zeros, 3)
+                       if PolyOverFp2.from_roots(F, r) == f]
+            roots = _cubic_roots([c0, c1, c2, (1, 0)], p, n)
+            if rebuilt:
+                assert sorted(roots) == list(rebuilt[0])
+                split += 1
+            else:
+                assert roots is None
+        # one split cubic per multiset of three roots from F_25
+        assert split == 25 * 26 * 27 // 6

@@ -6,6 +6,9 @@ to an entry is a change to test data and is recorded in CHANGES.md.
 
 import difflib
 
+import pytest
+
+import make_golden_cli
 from make_golden_cli import load, run
 
 
@@ -35,3 +38,13 @@ def test_cli_output_matches_the_golden_corpus():
             changed.append(_describe(want, got))
     assert not changed, f"{len(changed)} of {len(corpus)} commands changed:\n" + \
         "\n".join(changed)
+
+
+def test_regeneration_refuses_arguments_and_writes_nothing(monkeypatch, capsys):
+    before = make_golden_cli.GOLDEN.read_bytes()
+    monkeypatch.setattr(make_golden_cli, "run", lambda argv: pytest.fail("ran the corpus"))
+    for argv in (["--help"], ["-h"], ["golden.json"]):
+        assert make_golden_cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "takes no arguments" in captured.err
+    assert make_golden_cli.GOLDEN.read_bytes() == before

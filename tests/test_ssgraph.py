@@ -3,7 +3,7 @@ import json
 import pytest
 
 from isocycles import ff, ssgraph
-from isocycles.ff import PolyOverFp2, _sqrt_fp2, poly_roots
+from isocycles.ff import PolyOverFp2, PrimeField, _cube_root, _roots_internal, _sqrt_fp2, poly_roots
 from isocycles.modpoly import instantiate, reduce_mod_p, resolve_modular_polynomial
 from isocycles.ssgraph import build_graph, initial_supersingular_j, vertex_count_formula
 from oracles import loop_count
@@ -145,6 +145,37 @@ class TestBuildErrors:
         with pytest.raises(ArithmeticError,
                            match=r"^build_graph\(p=179, ell=2\): .* do not rebuild it"):
             build_graph(179, 2)
+
+
+    def test_wrong_cube_root_fails_certification(self, monkeypatch):
+        def doubled(x, p, n):
+            a, b = _cube_root(x, p, n)
+            return (2 * a % p, 2 * b % p)
+
+        monkeypatch.setattr(ff, "_cube_root", doubled)
+        with pytest.raises(ArithmeticError,
+                           match=r"^build_graph\(p=179, ell=2\): .* do not rebuild it"):
+            build_graph(179, 2)
+
+
+class TestSeedCubic:
+    @pytest.mark.parametrize("p", [p for p in range(5, 2000) if ff.is_prime(p)] + [20029])
+    def test_seed_roots_match_the_general_splitting(self, p):
+        F = PrimeField(p)
+        rows = reduce_mod_p(resolve_modular_polynomial(2, None), p)
+        c = instantiate(rows, initial_supersingular_j(p), p, F.non_residue)
+        assert ff._cubic_roots(c, p, F.non_residue) is not None
+        assert poly_roots(PolyOverFp2(F, c)) == _roots_internal(c, p, F.non_residue)
+
+    @pytest.mark.parametrize("p", [179, 1013, 1031, 20029])
+    def test_no_general_splitting_at_ell_2(self, monkeypatch, p):
+        # 179, 1013 and 1031 seed at 1728 or 0; 20029 = 1 mod 12 seeds at the
+        # root of H_-19, of degree 1; every other vertex has its BFS parent
+        def refused(f, p, n):
+            raise AssertionError("general splitting called")
+
+        monkeypatch.setattr(ff, "_frobenius_power", refused)
+        assert build_graph(p, 2).vertex_count == vertex_count_formula(p)
 
 
 class TestAgainstGeneralRootFinder:
