@@ -560,9 +560,9 @@ def _cubic_roots(c, p, n):
     P = _axpy(c1, h2, -3, p)
     Q = _axpy(c0, _mul2(h, _axpy(c1, h2, -2, p), p, n), -1, p)
     mq = _axpy((0, 0), Q, -half, p)
-    cube_p = _mul2(_mul2(P, P, p, n), P, p, n)
+    p_cubed = _mul2(_mul2(P, P, p, n), P, p, n)
     try:
-        r = _sqrt_fp2(_axpy(_mul2(mq, mq, p, n), cube_p, pow(27, p - 2, p), p), p, n)
+        r = _sqrt_fp2(_axpy(_mul2(mq, mq, p, n), p_cubed, pow(27, p - 2, p), p), p, n)
     except ArithmeticError:
         return None
     cube = _axpy(mq, r, 1, p)
