@@ -4,6 +4,11 @@ Every command is deterministic; identical inputs produce byte-identical
 outputs.  The payload goes to --out or to stdout; summary lines go to
 stderr.  Exit status 0 iff all requested verdicts pass, 2 on refused input,
 an --out that cannot be written among them.
+
+The argument parser is built once, at import, as `_PARSER`.  It is a
+constant, not state: nothing writes to it after import, and each
+`parse_args` call returns a fresh `Namespace`, so no value passes from one
+`main` call to the next.
 """
 
 from __future__ import annotations
@@ -63,6 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def _validate(args):
     p = getattr(args, "p", None)
     ell = getattr(args, "ell", None)
@@ -76,10 +84,8 @@ def _validate(args):
             raise ValueError(f"{flag} must be prime, got {value}")
     if p is not None and ell is not None and ell >= p:
         raise ValueError(f"need ell < p, got ell={ell}, p={p}")
-    r_max = getattr(args, "r_max", None)
-    if r_max is not None and not (1 <= r_max <= MAX_N):
-        raise ValueError(f"--r-max must be within 1..{MAX_N}")
-    for flag, value in (("--r", getattr(args, "r", None)), ("--N", getattr(args, "N", None))):
+    for flag, name in (("--r-max", "r_max"), ("--r", "r"), ("--N", "N")):
+        value = getattr(args, name, None)
         if value is not None and not (3 <= value <= MAX_N):
             raise ValueError(f"{flag} must be within 3..{MAX_N}")
     out = args.out
@@ -214,7 +220,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         _validate(args)
         text, ok = _HANDLERS[args.command](args)

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import quadform
 # poly_roots is no longer called here, but perfbench's tracer replaces it in
@@ -247,8 +247,7 @@ def _gamma2_evaluate(form, precision: int, constants):
     return _mul(_div(v, r8, bits), u, bits)
 
 
-@dataclass(frozen=True)
-class ClassPolynomial:
+class ClassPolynomial(NamedTuple):
     """Monic integer polynomial of degree h(D) with CM j-invariants as roots."""
 
     coefficients: tuple  # lowest degree first, leading 1 included

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -30,8 +29,7 @@ class EpsilonValue(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class OrderRecord:
+class OrderRecord(NamedTuple):
     """One quadratic order contributing to the count at level N."""
 
     discriminant: Discriminant
