@@ -75,6 +75,7 @@ def corpus() -> list[list[str]]:
         ["graph", "--p", "4", "--ell", "2"],                                  # flag checks
         ["graph", "--p", "5", "--ell", "5"],
         ["count", "--p", "179", "--ell", "2", "--r-max", "99", "--method", "orders"],
+        ["count", "--p", "3361", "--ell", "2", "--r-max", "2", "--method", "both"],
         ["orders", "--p", "179", "--ell", "2", "--r", "2"],
         ["bound", "--N", "5", "--ell", "2", "--out", "/nonexistent/b.json"],  # --out
     ]

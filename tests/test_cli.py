@@ -101,6 +101,20 @@ class TestCountCommand:
                            "--r-max", "99", "--method", "orders")
         assert code == 2
 
+    @pytest.mark.parametrize("r_max", ["1", "2", "41"])
+    def test_r_max_out_of_range_refused_before_any_work(self, capsys, monkeypatch, r_max):
+        # rows start at r = 3, so r-max 1 and 2 used to print no rows and exit 0
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called before the --r-max refusal")
+
+        monkeypatch.setattr(ordercount, "_records", forbidden)
+        monkeypatch.setattr(ssgraph, "build_graph", forbidden)
+        code, stdout, err = run(capsys, "count", "--p", "3361", "--ell", "2",
+                                "--r-max", r_max, "--method", "both")
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: --r-max must be within 3..40\n"
+
     @pytest.mark.parametrize("ell,r_max,method,message", [
         ("2", "25", "orders", "q_set(N=25, p=13, ell=2): 4*ell^N = 134217728 exceeds the "
                               "discriminant cap 100000000"),
@@ -401,6 +415,50 @@ class TestOut:
         assert not out.exists()
 
 
+class TestSharedParser:
+    def test_main_never_rebuilds_the_parser(self, capsys, monkeypatch):
+        def forbidden():
+            raise AssertionError("rebuilt the parser")
+
+        monkeypatch.setattr(cli, "_build_parser", forbidden)
+        code, stdout, _ = run(capsys, "bound", "--N", "6", "--ell", "2")
+        assert code == 0
+        assert json.loads(stdout)["N"] == 6
+
+    def test_no_attribute_passes_between_calls(self, capsys, monkeypatch):
+        seen = []
+
+        def record(args):
+            seen.append(args)
+            return "", True
+
+        for command in ("orders", "graph"):
+            monkeypatch.setitem(cli._HANDLERS, command, record)
+        assert run(capsys, "orders", "--p", "179", "--ell", "2", "--r", "5")[0] == 0
+        assert run(capsys, "graph", "--p", "179", "--ell", "2")[0] == 0
+        first, second = seen
+        assert first.r == 5 and first.format == "csv"
+        assert not hasattr(second, "r")
+        assert second.format == "json"
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--p", "179", "--ell", "2", "--method", "orders"],
+        ["count", "--p", "179", "--ell", "2", "--r-max", "4", "--method", "bogus"],
+    ], ids=["missing-r-max", "bad-method"])
+    def test_usage_errors_match_a_fresh_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as fresh:
+            cli._build_parser().parse_args(argv)
+        want = capsys.readouterr().err
+        run(capsys, "orders", "--p", "179", "--ell", "2", "--r", "5")
+        run(capsys, "bound", "--N", "6", "--ell", "2")
+        with pytest.raises(SystemExit) as shared:
+            main(argv)
+        assert shared.value.code == fresh.value.code == 2
+        assert capsys.readouterr().err == want
+        assert want.startswith("usage: isocycles count ")
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -430,6 +488,7 @@ class TestColdStart:
                 assert cli.main(argv + ["--out", {str(tmp_path)!r} + f"/{{k}}"]) == 0, argv
             assert "sympy" not in sys.modules, "sympy was imported"
             assert "mpmath" not in sys.modules, "mpmath was imported"
+            assert "dataclasses" not in sys.modules, "dataclasses was imported"
         """)
 
     def test_numpy_loads_only_for_graph_side_counts(self, tmp_path):
@@ -449,6 +508,7 @@ class TestColdStart:
             for k, argv in enumerate(commands):
                 assert cli.main(argv + ["--out", {str(tmp_path)!r} + f"/{{k}}"]) == 0, argv
             assert "numpy" not in sys.modules, "numpy was imported"
+            assert "dataclasses" not in sys.modules, "dataclasses was imported"
         """)
 
 
