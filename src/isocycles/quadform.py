@@ -5,7 +5,9 @@ composition.  A form a*x^2 + b*x*y + c*y^2 is the int triple (a, b, c); the
 functions here derive every form from a checked Discriminant, so each one
 they return is primitive and positive definite.  Everything the
 cycle-counting pipeline needs is the class number h, the genus number g,
-and the order of the class above a split prime.
+and the order of the class above a split prime.  Reduced forms are counted
+only for fundamental discriminants (Cohen, Alg. 5.3.5); the class number of
+a suborder follows from the conductor (Cox, Thm 7.24).
 """
 
 from __future__ import annotations
@@ -157,9 +159,28 @@ def reduced_forms(D) -> list[tuple[int, int, int]]:
 
 
 def class_number(D) -> int:
-    """Class number h: the count of primitive reduced forms."""
-    return sum(2 if 0 < b < a < c else 1
-               for a, b, c in _reduced_triples(as_discriminant(D).value))
+    """Class number h: the count of primitive reduced forms.
+
+    Forms are counted only for the fundamental part D_K.  For conductor
+    f > 1, Cox, Thm 7.24 gives h(D) = h(D_K) * prod q^(e-1) (q - (D_K/q))
+    over q^e || f, divided by the unit index 3 for D_K = -3, 2 for D_K = -4.
+    """
+    D = as_discriminant(D)
+    dk = D.fundamental
+    h = sum(2 if 0 < b < a < c else 1 for a, b, c in _reduced_triples(dk))
+    if D.conductor == 1:
+        return h
+    rest = D.conductor
+    for q in D.factors:
+        if rest % q == 0:
+            rest //= q
+            h *= q - kronecker_symbol(dk, q)
+    h *= rest
+    units = {-3: 3, -4: 2}.get(dk, 1)
+    if h % units:
+        raise ArithmeticError(f"class_number(D={D.value}): lifted count {h} from D_K = {dk} "
+                              f"is not divisible by the unit index {units}")
+    return h // units
 
 
 def genus_number(D) -> int:

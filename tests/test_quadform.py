@@ -161,15 +161,30 @@ class TestClassNumber:
     @pytest.mark.parametrize(
         "disc,h",
         [(-31, 3), (-39, 4), (-47, 5), (-87, 6), (-231, 12), (-247, 6),
-         (-255, 12), (-135, 6), (-15, 2), (-964, 12), (-3, 1), (-4, 1)],
+         (-255, 12), (-135, 6), (-15, 2), (-964, 12), (-3, 1), (-4, 1),
+         (-12, 1), (-16, 1), (-27, 1), (-36, 2), (-48, 2), (-63, 4)],
     )
     def test_known_values(self, disc, h):
         assert class_number(disc) == h
 
     def test_matches_box_enumeration_oracle(self):
         for disc in range(-3, -201, -1):
-            if disc % 4 in (-3, 0):
+            if disc % 4 in (0, 1):
                 assert class_number(disc) == brute_box_class_count(disc), disc
+
+    def test_lift_matches_the_form_count(self):
+        # below the fundamental part, class_number lifts h(D_K) by the
+        # conductor; reduced_forms still enumerates every form of D itself
+        for disc in range(-3, -20000, -1):
+            if disc % 4 in (0, 1) and Discriminant(disc).conductor > 1:
+                assert class_number(disc) == len(reduced_forms(disc)), disc
+
+    def test_inexact_lift_is_named(self, monkeypatch):
+        # h(-12) = h(-3) * (2 - (-3|2)) / 3 = 3/3; with (-3|2) read as 0 the
+        # lifted count is 2, which the unit index 3 does not divide
+        monkeypatch.setattr(quadform, "kronecker_symbol", lambda d, q: 0)
+        with pytest.raises(ArithmeticError, match=r"^class_number\(D=-12\): "):
+            class_number(-12)
 
     def test_reduced_forms_are_reduced_and_distinct(self):
         for disc in DISC_POOL:
@@ -341,3 +356,4 @@ class TestAgainstClassicalResults:
                 for q in primefactors(f):
                     expected *= 1 - Fraction(kronecker_symbol(dk, q), q)
                 assert class_number(f * f * dk) == expected, (dk, f)
+                assert len(reduced_forms(f * f * dk)) == expected, (dk, f)
