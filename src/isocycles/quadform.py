@@ -170,7 +170,7 @@ def class_number(D) -> int:
     h = sum(2 if 0 < b < a < c else 1 for a, b, c in _reduced_triples(dk))
     if D.conductor == 1:
         return h
-    rest = D.conductor
+    rest = D.conductor  # divided by each q once, it ends as prod q^(e-1)
     for q in D.factors:
         if rest % q == 0:
             rest //= q
