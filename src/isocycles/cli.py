@@ -140,41 +140,57 @@ def _count(args):
     if args.method in ("orders", "both"):
         for r in range(3, r_max + 1):
             ordercount.check_level(r, p, ell)
-    directed = None
+    traces = directed = order_side = None
     if args.method in ("graph", "both"):
         g = ssgraph.build_graph(p, ell, modpoly_dir=args.modpoly_dir)
-        directed = nbwalk.count_cycles(g, r_max)
+        traces = nbwalk.closed_nbw_counts(nbwalk.build_nb_operator(g), r_max)
+        directed = nbwalk.directed_cycle_counts(traces)
+    if args.method in ("orders", "both"):
+        order_side = ordercount.order_side_cycle_count(r_max, p, ell)
+    # the two routes agree level by level: tr B^N = Q_N (Eichler's trace formula)
+    level_mismatch = None
+    if traces is not None and order_side is not None:
+        level_mismatch = next((n for n in range(1, r_max + 1)
+                               if traces[n - 1] != order_side.sums[n]), None)
     rows = []
     ok = True
     for r in range(3, r_max + 1):
         row = {"r": r}
         if directed is not None:
             row["graph"] = directed[r]
-        if args.method in ("orders", "both"):
-            oc = ordercount.order_side_cycle_count(r, p, ell)
+        if order_side is not None:
+            oc = order_side.cycles[r]
             row["orders"] = oc
             _, c_bound = ordercount.bound_b(r, ell)
             row["c_bound"] = c_bound
             ok = ok and oc <= c_bound
-            if args.method == "both":
-                row["match"] = oc == row["graph"]
+            if directed is not None:
+                row["match"] = level_mismatch is None and oc == row["graph"]
                 ok = ok and row["match"]
         rows.append(row)
     payload = {"schema": 1, "p": p, "ell": ell, "r_max": r_max,
                "method": args.method, "rows": rows}
     for row in rows:
         _summary("  ".join(f"{k}={v}" for k, v in row.items() if k != "c_bound"))
+    if level_mismatch is not None:
+        n = level_mismatch
+        _summary(f"level mismatch at N={n}: closed_nbw_counts gives tr B^N = {traces[n - 1]}, "
+                 f"order_side_cycle_count gives Q_N = {order_side.sums[n]}")
     return json.dumps(payload, indent=2) + "\n", ok
 
 
 def _orders(args):
-    records = ordercount.enumerate_orders(args.r, args.p, args.ell)
-    _summary(f"orders with class above ell of order {args.r}: "
-             + ", ".join(str(rec.discriminant.value) for rec in records))
+    r, p, ell = args.r, args.p, args.ell
     if args.format == "csv":
+        records = ordercount.enumerate_orders(r, p, ell)
+        listed = [rec.discriminant.value for rec in records]
         text = ordercount.order_records_csv(records)
     else:
-        text = json.dumps(ordercount.order_census(args.r, args.p, args.ell), indent=2) + "\n"
+        census = ordercount.order_census(r, p, ell)
+        listed = list(dict.fromkeys(rec["discriminant"] for rec in census["records"]
+                                    if rec["l_order"] == r))
+        text = json.dumps(census, indent=2) + "\n"
+    _summary(f"orders with class above ell of order {r}: " + ", ".join(map(str, listed)))
     return text, True
 
 

@@ -195,7 +195,3 @@ def spectral_check(graph: IsogenyGraph):
     verdict = estimate <= 2 * math.sqrt(ell) + 1e-6
     return lam1, estimate, verdict
 
-
-def count_cycles(graph: IsogenyGraph, r_max: int) -> dict[int, int]:
-    """Primitive directed cycle counts c_3..c_r_max of a p = 1 mod 12 graph."""
-    return directed_cycle_counts(closed_nbw_counts(build_nb_operator(graph), r_max))

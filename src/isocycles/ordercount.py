@@ -5,6 +5,14 @@ Every order Z[phi] <= O <= O_K with p prime to the conductor of O counts
 with its class number times Eichler's factor 1 - (D_K/p): 2 when p is
 inert in K, 1 when p ramifies.  Level sums and cycle counts are therefore
 integers, and c_N is asserted to come out whole.
+
+The orders above x are those of discriminant D'_x / f^2, where D'_x is
+x^2 - 4*ell^N with every factor p^2 divided out, and their class numbers
+sum to T(D'_x), the count of all reduced forms of D'_x.  So a level sum is
+Q_N = sum over x of (1 - (D'_x/p)) * T(D'_x), and one `form_counts` sweep
+gives every level a command needs, with no class group.  Order records,
+which do need the class group, take h(D_K) of each field from the same
+sweep and lift it to the suborders.
 """
 
 from __future__ import annotations
@@ -12,7 +20,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 from . import quadform
@@ -67,14 +74,17 @@ def q_set(N: int, p: int, ell: int) -> list[int]:
     out = []
     x = 1
     while x * x < four_n:
-        if x % ell:
-            delta = x * x - four_n
-            while delta % (p * p) == 0:
-                delta //= p * p
-            if kronecker_symbol(delta, p) != 1:
-                out.append(x)
+        if x % ell and kronecker_symbol(_prime_to_p(x * x - four_n, p), p) != 1:
+            out.append(x)
         x += 1
     return out
+
+
+def _prime_to_p(delta: int, p: int) -> int:
+    """delta with every factor p^2 divided out."""
+    while delta % (p * p) == 0:
+        delta //= p * p
+    return delta
 
 
 def epsilon(D, p: int) -> EpsilonValue:
@@ -96,6 +106,37 @@ def epsilon(D, p: int) -> EpsilonValue:
     return EpsilonValue("exact", 1 - k)
 
 
+def _level_terms(N: int, p: int, ell: int) -> list[tuple[int, int, int]]:
+    """(x, D'_x, 1 - (D'_x/p)) for each x in q_set: the trace, its
+    discriminant with every p^2 divided out, and Eichler's factor of every
+    order above x with conductor prime to p."""
+    four_n = 4 * ell**N
+    out = []
+    for x in q_set(N, p, ell):
+        delta = _prime_to_p(x * x - four_n, p)
+        out.append((x, delta, 1 - kronecker_symbol(delta, p)))
+    return out
+
+
+def _swept_sums(terms: dict, fields=()) -> tuple[dict[int, int], dict[int, int]]:
+    """Level sums {N: Q_N} over each level's terms, and the form counts of
+    every D'_x and of `fields`, all from one form-count sweep."""
+    counts = quadform.form_counts(
+        [delta for level in terms.values() for _, delta, _ in level] + list(fields))
+    sums = {N: sum(eps * counts[delta] for _, delta, eps in level)
+            for N, level in terms.items()}
+    return sums, counts
+
+
+def _cycle_count(N: int, sums: dict, where: str) -> int:
+    """c_N by Mobius inversion over the level sums Q_d, d | N, asserted whole."""
+    total = sum(mobius(r) * sums[N // r] for r in divisors(N) if mobius(r))
+    count, rem = divmod(total, N)
+    if rem:
+        raise ArithmeticError(f"{where}order-side count is not an integer: {total}/{N}")
+    return count
+
+
 def _suborder_conductors(delta: int):
     square_part = 1
     for q, e in factor(-delta).items():
@@ -105,47 +146,54 @@ def _suborder_conductors(delta: int):
             yield f
 
 
-# Cached because count's Mobius inversion and orders re-read the same levels.
-@lru_cache(maxsize=None)
-def _records(N: int, p: int, ell: int) -> tuple:
+def _records(N: int, p: int, ell: int) -> tuple[list[OrderRecord], dict[int, int]]:
     """OrderRecords for every (x, conductor divisor) at level N whose order
-    has conductor prime to p."""
-    out = []
-    for x in q_set(N, p, ell):
-        delta_x = x * x - 4 * ell**N
+    has conductor prime to p, and the level sums {d: Q_d} for d | N.
+
+    One sweep counts the forms of every field and of every D'_x of the
+    levels d; each order's h is lifted from its field's.
+    """
+    terms = {d: _level_terms(d, p, ell) for d in divisors(N)}
+    four_n = 4 * ell**N
+    orders = []
+    for x, _, _ in terms[N]:
+        delta_x = x * x - four_n
         for f in _suborder_conductors(delta_x):
             disc = Discriminant(delta_x // (f * f))
-            if disc.conductor % p == 0:
-                continue
-            h = quadform.class_number(disc)
-            g = quadform.genus_number(disc)
-            sigma = quadform.prime_form(disc, ell)
-            l_order = quadform.form_order(disc, sigma)
-            if h % g or h % l_order:
-                raise AssertionError(f"_records(N={N}, p={p}, ell={ell}): g={g} or l_order="
-                                     f"{l_order} does not divide h={h} at D={disc.value}")
-            out.append(OrderRecord(disc, x, f, h, g, epsilon(disc, p).value, l_order))
-    return tuple(out)
+            if disc.conductor % p:
+                orders.append((x, f, disc))
+    sums, counts = _swept_sums(terms, {disc.fundamental for _, _, disc in orders})
+    out = []
+    for x, f, disc in orders:
+        h = quadform.lift_class_number(disc, counts[disc.fundamental])
+        g = quadform.genus_number(disc)
+        sigma = quadform.prime_form(disc, ell)
+        l_order = quadform.form_order(disc, sigma)
+        if h % g or h % l_order:
+            raise AssertionError(f"_records(N={N}, p={p}, ell={ell}): g={g} or l_order="
+                                 f"{l_order} does not divide h={h} at D={disc.value}")
+        out.append(OrderRecord(disc, x, f, h, g, epsilon(disc, p).value, l_order))
+    return out, sums
 
 
-def q_n(N: int, p: int, ell: int) -> int:
-    """Weighted class-number sum over all orders at level N."""
-    return sum(rec.eps * rec.h for rec in _records(N, p, ell))
+class OrderSideCounts(NamedTuple):
+    """Level sums {N: Q_N} for every level from 1, and cycle counts {r: c_r} from 3."""
+
+    sums: dict[int, int]
+    cycles: dict[int, int]
 
 
-def order_side_cycle_count(N: int, p: int, ell: int) -> int:
-    """Directed cycle count by Mobius inversion over the level sums.
+def order_side_cycle_count(N: int, p: int, ell: int) -> OrderSideCounts:
+    """Level sums Q_1..Q_N from one form-count sweep, and the directed cycle
+    counts c_3..c_N by Mobius inversion over them.
 
-    The inversion is asserted to divide exactly.
+    Each inversion is asserted to divide exactly.
     """
     where = f"order_side_cycle_count(N={N}, p={p}, ell={ell}): "
     if N < 3:
         raise ValueError(f"{where}cycle counts are defined for N >= 3")
-    total = sum(mobius(r) * q_n(N // r, p, ell) for r in divisors(N) if mobius(r))
-    count, rem = divmod(total, N)
-    if rem:
-        raise ArithmeticError(f"{where}order-side count is not an integer: {total}/{N}")
-    return count
+    sums, _ = _swept_sums({n: _level_terms(n, p, ell) for n in range(1, N + 1)})
+    return OrderSideCounts(sums, {r: _cycle_count(r, sums, where) for r in range(3, N + 1)})
 
 
 def enumerate_orders(r: int, p: int, ell: int) -> list[OrderRecord]:
@@ -155,7 +203,7 @@ def enumerate_orders(r: int, p: int, ell: int) -> list[OrderRecord]:
                          "order enumeration is defined for r >= 3")
     seen = set()
     out = []
-    for rec in _records(r, p, ell):
+    for rec in _records(r, p, ell)[0]:
         if rec.l_order == r and rec.discriminant.value not in seen:
             seen.add(rec.discriminant.value)
             out.append(rec)
@@ -204,15 +252,24 @@ def order_records_csv(records) -> str:
 
 
 def order_census(N: int, p: int, ell: int) -> dict:
-    """JSON-ready census at level N: records, Q_N, c_N, bounds."""
-    records = _records(N, p, ell)
+    """JSON-ready census at level N: records, Q_N, c_N, bounds.
+
+    Q_N is the swept form count, and must equal the sum of eps * h over the
+    records, whose class numbers come from the fields' counts and the lift.
+    """
+    where = f"order_census(N={N}, p={p}, ell={ell}): "
+    records, sums = _records(N, p, ell)
     b_n, c_bound = bound_b(N, ell)
+    weighted = sum(rec.eps * rec.h for rec in records)
+    if weighted != sums[N]:
+        raise ArithmeticError(f"{where}the records sum to {weighted}, the swept form count "
+                              f"to Q_N = {sums[N]}")
     return {
         "schema": 1,
         "p": p,
         "ell": ell,
         "N": N,
-        "Q_N": q_n(N, p, ell),
+        "Q_N": sums[N],
         "records": [
             {
                 "x": rec.x,
@@ -227,5 +284,5 @@ def order_census(N: int, p: int, ell: int) -> dict:
         ],
         "B_N": b_n,
         "c_N_bound": c_bound,
-        "c_N": order_side_cycle_count(N, p, ell),
+        "c_N": _cycle_count(N, sums, where),
     }

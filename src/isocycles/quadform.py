@@ -5,9 +5,11 @@ composition.  A form a*x^2 + b*x*y + c*y^2 is the int triple (a, b, c); the
 functions here derive every form from a checked Discriminant, so each one
 they return is primitive and positive definite.  Everything the
 cycle-counting pipeline needs is the class number h, the genus number g,
-and the order of the class above a split prime.  Reduced forms are counted
-only for fundamental discriminants (Cohen, Alg. 5.3.5); the class number of
-a suborder follows from the conductor (Cox, Thm 7.24).
+and the order of the class above a split prime.  A single class number
+counts reduced forms only for the fundamental discriminant (Cohen,
+Alg. 5.3.5) and lifts to a suborder by the conductor (Cox, Thm 7.24);
+`form_counts` counts the reduced forms of a whole batch of discriminants,
+primitive or not, in one sweep.
 """
 
 from __future__ import annotations
@@ -161,15 +163,25 @@ def reduced_forms(D) -> list[tuple[int, int, int]]:
 def class_number(D) -> int:
     """Class number h: the count of primitive reduced forms.
 
-    Forms are counted only for the fundamental part D_K.  For conductor
-    f > 1, Cox, Thm 7.24 gives h(D) = h(D_K) * prod q^(e-1) (q - (D_K/q))
+    Forms are counted only for the fundamental part D_K, then lifted to D
+    by `lift_class_number`.
+    """
+    D = as_discriminant(D)
+    h = sum(2 if 0 < b < a < c else 1 for a, b, c in _reduced_triples(D.fundamental))
+    return lift_class_number(D, h)
+
+
+def lift_class_number(D, field_h: int) -> int:
+    """h(D) from the class number field_h of its fundamental part D_K.
+
+    Cox, Thm 7.24: for conductor f > 1, h(D) = h(D_K) * prod q^(e-1) (q - (D_K/q))
     over q^e || f, divided by the unit index 3 for D_K = -3, 2 for D_K = -4.
     """
     D = as_discriminant(D)
-    dk = D.fundamental
-    h = sum(2 if 0 < b < a < c else 1 for a, b, c in _reduced_triples(dk))
     if D.conductor == 1:
-        return h
+        return field_h
+    dk = D.fundamental
+    h = field_h
     rest = D.conductor  # divided by each q once, it ends as prod q^(e-1)
     for q in D.factors:
         if rest % q == 0:
@@ -181,6 +193,44 @@ def class_number(D) -> int:
         raise ArithmeticError(f"class_number(D={D.value}): lifted count {h} from D_K = {dk} "
                               f"is not divisible by the unit index {units}")
     return h // units
+
+
+def form_counts(discs) -> dict[int, int]:
+    """T(D) for each negative D in discs: the number of reduced forms of
+    discriminant D, primitive or not, so T(D) = sum of h(D/f^2) over the f
+    with D/f^2 a discriminant (0 when D is none).
+
+    One pass over a <= sqrt(max|D|/3) serves the whole batch.  A reduced
+    form (a, +-b, c) with 0 <= b <= a has b^2 = D (mod 4a) and c >= a, that
+    is b^2 >= 4a^2 - |D|.  Each such root b counts for +b and -b, except
+    b = 0, b = a and the tie c = a, where only +b is reduced.  So for each a
+    the b in [0, a] are grouped by b^2 mod 4a: a D with |D| >= 4a^2 passes
+    every root and adds the tally of its residue, and only a D with
+    3a^2 <= |D| < 4a^2 reads its roots one by one.
+    """
+    batch = sorted(set(discs))  # largest |D| first
+    counts = dict.fromkeys(batch, 0)
+    a = 1
+    while batch and 3 * a * a <= -batch[0]:
+        four_a = 4 * a
+        roots: dict[int, list[int]] = {}
+        for b in range(a + 1):
+            roots.setdefault(b * b % four_a, []).append(b)
+        tally = {res: 2 * len(bs) - (bs[0] == 0) - (bs[-1] == a) for res, bs in roots.items()}
+        for D in batch:
+            if 3 * a * a > -D:
+                break
+            res = D % four_a
+            if res not in roots:
+                continue
+            floor = four_a * a + D
+            if floor <= 0:
+                counts[D] += tally[res]
+            else:
+                counts[D] += sum(1 if b in (0, a) or b * b == floor else 2
+                                 for b in roots[res] if b * b >= floor)
+        a += 1
+    return counts
 
 
 def genus_number(D) -> int:

@@ -24,7 +24,6 @@ from isocycles.ordercount import (
     enumerate_orders,
     epsilon,
     order_side_cycle_count,
-    q_n,
 )
 from isocycles.quadform import (
     class_number,
@@ -72,8 +71,7 @@ def test_criterion_1_vertex_census():
 def test_criterion_2_golden_counts_at_179():
     q_expected = {1: 0, 2: 4, 3: 6, 4: 12, 5: 10, 6: 94}
     c_expected = {3: 2, 4: 2, 5: 2, 6: 14}
-    q_got = {n: q_n(n, 179, 2) for n in q_expected}
-    c_got = {n: order_side_cycle_count(n, 179, 2) for n in c_expected}
+    q_got, c_got = order_side_cycle_count(6, 179, 2)
     ok = q_got == q_expected and c_got == c_expected
     assert report(2, ok,
                   f"p=179 ell=2: Q_1..Q_6 = {[q_got[n] for n in range(1, 7)]}, "
@@ -106,9 +104,11 @@ def graph_counts(g1009, g3361, g3229):
 
 def test_criterion_4_cross_oracle_identity(graph_counts):
     mismatches = []
+    order_cycles = {(p, ell): order_side_cycle_count(10, p, ell).cycles
+                    for p, ell in ((1009, 2), (3361, 2), (3229, 3))}
     for (p, ell) in ((1009, 2), (3361, 2), (3229, 3)):
         for r in range(3, 11):
-            oc = order_side_cycle_count(r, p, ell)
+            oc = order_cycles[(p, ell)][r]
             if oc != graph_counts[(p, ell)][r]:
                 mismatches.append((p, ell, r, graph_counts[(p, ell)][r], oc))
     ok = not mismatches
@@ -136,11 +136,12 @@ def test_criterion_6_explicit_bounds(graph_counts):
              (3361, 2, range(3, 11)), (3229, 3, range(3, 11))]
     violations = []
     for p, ell, rng in cases:
+        sums, cycles = order_side_cycle_count(rng[-1], p, ell)
         for n in rng:
             b_n, c_bound = bound_b(n, ell)
-            if not q_n(n, p, ell) <= b_n:
+            if not sums[n] <= b_n:
                 violations.append(("Q", p, ell, n))
-            if not order_side_cycle_count(n, p, ell) <= c_bound:
+            if not cycles[n] <= c_bound:
                 violations.append(("c", p, ell, n))
     ok = not violations
     assert report(6, ok, "Q_N <= B_N and c_N <= bound for all computed cases"

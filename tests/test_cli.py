@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from isocycles import cli, ff, hilbert, ordercount, quadform, ssgraph
+from isocycles import cli, ff, hilbert, nbwalk, ordercount, quadform, ssgraph
 from isocycles.cli import main
 from oracles import rims_on_ell_graph
 
@@ -90,6 +90,31 @@ class TestCountCommand:
         assert all(row["match"] for row in payload["rows"])
         assert "match=True" in err
 
+    def test_shifted_even_traces_fail_the_level_check(self, capsys, monkeypatch, tmp_path):
+        # adding h (the half-loops) to every even trace leaves every c_r with
+        # r >= 3 unchanged, since sum over m | k of mu(k/m) is 0 for k > 1;
+        # only the level check tr B^N = Q_N sees it
+        g = ssgraph.build_graph(613, 2)
+        h = sum(row.get(v, 0) % 2 for v, row in enumerate(g.adjacency))
+        assert h > 0
+        traces = nbwalk.closed_nbw_counts
+
+        def shifted(op, r_max):
+            return [t + h * (n % 2 == 0) for n, t in enumerate(traces(op, r_max), 1)]
+
+        monkeypatch.setattr(nbwalk, "closed_nbw_counts", shifted)
+        out = tmp_path / "c.json"
+        code, _, err = run(capsys, "count", "--p", "613", "--ell", "2",
+                           "--r-max", "10", "--method", "both", "--out", str(out))
+        assert code == 1
+        rows = json.loads(out.read_text())["rows"]
+        assert all(row["graph"] == row["orders"] for row in rows)
+        assert not any(row["match"] for row in rows)
+        assert err.endswith(f"level mismatch at N=2: closed_nbw_counts gives tr B^N = "
+                            f"{traces(nbwalk.build_nb_operator(g), 2)[1] + h}, "
+                            f"order_side_cycle_count gives Q_N = "
+                            f"{ordercount.order_side_cycle_count(3, 613, 2).sums[2]}\n")
+
     def test_graph_method_gate(self, capsys):
         code, _, err = run(capsys, "count", "--p", "179", "--ell", "2",
                            "--r-max", "4", "--method", "graph")
@@ -108,6 +133,7 @@ class TestCountCommand:
             raise AssertionError("called before the --r-max refusal")
 
         monkeypatch.setattr(ordercount, "_records", forbidden)
+        monkeypatch.setattr(quadform, "form_counts", forbidden)
         monkeypatch.setattr(ssgraph, "build_graph", forbidden)
         code, stdout, err = run(capsys, "count", "--p", "3361", "--ell", "2",
                                 "--r-max", r_max, "--method", "both")
@@ -129,6 +155,7 @@ class TestCountCommand:
             raise AssertionError("called before the level-cap refusal")
 
         monkeypatch.setattr(ordercount, "_records", forbidden)
+        monkeypatch.setattr(quadform, "form_counts", forbidden)
         monkeypatch.setattr(ssgraph, "build_graph", forbidden)
         code, stdout, err = run(capsys, "count", "--p", "13", "--ell", ell,
                                 "--r-max", r_max, "--method", method)
@@ -188,6 +215,25 @@ class TestOrdersCommand:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["c_N"] == 2
+
+    def test_json_census_refuses_a_lift_that_disagrees_with_the_sweep(self, capsys,
+                                                                      monkeypatch):
+        # one exponent too many in the lift of -135 = 3^2 * -15 (h = 6, not
+        # 18) keeps g and the order of the class above 2 dividing h; only the
+        # swept level sum Q_6 = 94 catches it
+        lift = quadform.lift_class_number
+
+        def wrong_exponent(D, field_h):
+            h = lift(D, field_h)
+            return h * min(ff.factor(D.conductor)) if D.conductor > 1 else h
+
+        monkeypatch.setattr(quadform, "lift_class_number", wrong_exponent)
+        code, stdout, err = run(capsys, "orders", "--r", "6", "--p", "179",
+                                "--ell", "2", "--format", "json")
+        assert code == 2
+        assert stdout == ""
+        assert err == ("error: order_census(N=6, p=179, ell=2): the records sum to 118, "
+                       "the swept form count to Q_N = 94\n")
 
 
 class TestBoundCommand:

@@ -5,7 +5,7 @@ from sympy import primerange
 
 from isocycles import ordercount, quadform
 from isocycles.ff import kronecker_symbol
-from isocycles.nbwalk import count_cycles
+from isocycles.nbwalk import build_nb_operator, closed_nbw_counts, directed_cycle_counts
 from isocycles.ordercount import (
     bound_b,
     enumerate_orders,
@@ -13,7 +13,6 @@ from isocycles.ordercount import (
     order_census,
     order_records_csv,
     order_side_cycle_count,
-    q_n,
     q_set,
 )
 from isocycles.quadform import SPLIT, Discriminant, splitting_type
@@ -89,13 +88,11 @@ class TestEpsilon:
 class TestQn:
     def test_level_sums_at_179(self):
         expected = {1: 0, 2: 4, 3: 6, 4: 12, 5: 10, 6: 94}
-        for n, val in expected.items():
-            assert q_n(n, 179, 2) == val, n
+        assert order_side_cycle_count(6, 179, 2).sums == expected
 
     def test_cycle_counts_at_179(self):
         expected = {3: 2, 4: 2, 5: 2, 6: 14}
-        for n, val in expected.items():
-            assert order_side_cycle_count(n, 179, 2) == val, n
+        assert order_side_cycle_count(6, 179, 2).cycles == expected
 
     def test_divisor_sum_identity(self):
         # sum over r | N of r*c_r = Q_N, with the internal c_1, c_2 values
@@ -104,17 +101,36 @@ class TestQn:
         from sympy import divisors, mobius
 
         for p, ell, n_max in ((179, 2, 8), (1009, 2, 9)):
+            q = order_side_cycle_count(n_max, p, ell).sums
             s = {}
             for n in range(1, n_max + 1):
-                total = sum(mobius(r) * q_n(n // r, p, ell) for r in divisors(n))
+                total = sum(mobius(r) * q[n // r] for r in divisors(n))
                 s[n] = Fraction(total, n)
             for n in range(1, n_max + 1):
-                assert sum(r * s[r] for r in divisors(n)) == q_n(n, p, ell)
+                assert sum(r * s[r] for r in divisors(n)) == q[n]
 
     def test_n_below_3_rejected_for_cycles(self):
         with pytest.raises(ValueError,
                            match=r"^order_side_cycle_count\(N=2, p=179, ell=2\): "):
             order_side_cycle_count(2, 179, 2)
+
+    @pytest.mark.parametrize("p, ell, n_max", [
+        (3361, 2, 18), (1019, 3, 10), (613, 2, 12), (13, 3, 8), (97, 7, 5), (241, 11, 4),
+        (179, 2, 12),
+    ], ids=lambda v: str(v))
+    def test_swept_level_sums_equal_the_record_sums(self, p, ell, n_max):
+        # Q_N from T(D'_x) of every trace against eps * h summed order by
+        # order, with h lifted from the form count of each field
+        sums = order_side_cycle_count(n_max, p, ell).sums
+        for n in range(1, n_max + 1):
+            records, level_sums = ordercount._records(n, p, ell)
+            assert sum(rec.eps * rec.h for rec in records) == sums[n] == level_sums[n], n
+
+    @pytest.mark.parametrize("p, ell, n", [(613, 2, 10), (13, 3, 7), (97, 7, 4), (241, 11, 4),
+                                           (179, 2, 12)])
+    def test_record_class_numbers_equal_the_enumeration(self, p, ell, n):
+        for rec in ordercount._records(n, p, ell)[0]:
+            assert rec.h == quadform.class_number(rec.discriminant.value), rec
 
 
 class TestEnumerateOrders:
@@ -162,13 +178,6 @@ class TestEnumerateOrders:
 class TestRecordDivisibility:
     """_records checks that g and the order of the class above ell divide h."""
 
-    @pytest.fixture(autouse=True)
-    def fresh_records(self):
-        # _records is cached: a cached level would skip the patched function
-        ordercount._records.cache_clear()
-        yield
-        ordercount._records.cache_clear()
-
     @pytest.mark.parametrize("name", ["form_order", "genus_number"])
     def test_non_divisor_of_h_refused(self, monkeypatch, name):
         monkeypatch.setattr(quadform, name, lambda *args: 10**6)
@@ -185,10 +194,11 @@ class TestBound:
         assert c6 > 0
 
     def test_dominates_known_counts(self):
+        sums, cycles = order_side_cycle_count(6, 179, 2)
         for n in range(3, 7):
             b_n, c_bound = bound_b(n, 2)
-            assert q_n(n, 179, 2) <= b_n
-            assert order_side_cycle_count(n, 179, 2) <= c_bound
+            assert sums[n] <= b_n
+            assert cycles[n] <= c_bound
 
     def test_requires_3(self):
         with pytest.raises(ValueError, match=r"^bound_b\(N=2, ell=2\): "):
@@ -208,8 +218,8 @@ class TestRamifiedPrime:
         # paper's factor left Q_6 in [70, 82] and c_6 in [29/3, 35/3]
         eps = {r.discriminant.value: r.eps for r in enumerate_orders(6, 5, 2)}
         assert eps == {-255: 1, -247: 2, -207: 2, -135: 1, -87: 2}
-        assert q_n(6, 5, 2) == 64
-        assert order_side_cycle_count(6, 5, 2) == 9
+        sums, cycles = order_side_cycle_count(6, 5, 2)
+        assert (sums[6], cycles[6]) == (64, 9)
 
 
 class TestReports:
@@ -234,20 +244,17 @@ class TestReports:
             order_census(2, 179, 2)
 
     def test_cross_oracle_sampled_sweep(self):
-        from isocycles.nbwalk import build_nb_operator, closed_nbw_counts, directed_cycle_counts
-        from isocycles.ssgraph import build_graph
-
         for p, ell, r_max in ((433, 2, 8), (601, 2, 8), (373, 3, 6)):
-            g = build_graph(p, ell)
-            op = build_nb_operator(g)
-            counts = directed_cycle_counts(closed_nbw_counts(op, r_max))
-            for r in range(3, r_max + 1):
-                assert order_side_cycle_count(r, p, ell) == counts[r], (p, ell, r)
+            traces = closed_nbw_counts(build_nb_operator(build_graph(p, ell)), r_max)
+            sums, cycles = order_side_cycle_count(r_max, p, ell)
+            assert cycles == directed_cycle_counts(traces), (p, ell)
+            assert [sums[n] for n in range(1, r_max + 1)] == traces, (p, ell)
 
 
 @lru_cache(maxsize=None)
-def _graph_side(p, ell):
-    return count_cycles(build_graph(p, ell), 10)
+def _both_sides(p, ell):
+    traces = closed_nbw_counts(build_nb_operator(build_graph(p, ell)), 10)
+    return traces, directed_cycle_counts(traces), order_side_cycle_count(10, p, ell)
 
 
 @pytest.mark.parametrize("p, ell, r", [
@@ -257,5 +264,10 @@ def _graph_side(p, ell):
     for r in range(3, 11)
 ])
 def test_cross_oracle_sweep_below_1000(p, ell, r):
-    """Graph side equals the order side exactly."""
-    assert order_side_cycle_count(r, p, ell) == _graph_side(p, ell)[r]
+    """Graph side equals the order side exactly, level by level as well:
+    tr B^r = Q_r (Eichler's trace formula for Brandt matrices)."""
+    traces, graph_cycles, (sums, cycles) = _both_sides(p, ell)
+    assert cycles[r] == graph_cycles[r]
+    assert traces[r - 1] == sums[r]
+    if r == 3:
+        assert traces[:2] == [sums[1], sums[2]]

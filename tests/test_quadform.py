@@ -15,6 +15,7 @@ from isocycles.quadform import (
     Discriminant,
     class_number,
     compose,
+    form_counts,
     form_order,
     genus_number,
     prime_form,
@@ -139,9 +140,14 @@ class TestCompose:
         assert compose(compose(f, f), compose(f, f)) == one
 
 
-def brute_box_class_count(disc):
-    """Enumerate forms with a, |b|, c <= |disc| and count distinct reductions."""
-    bound = -disc
+def brute_box_class_count(disc, box=None, primitive=True):
+    """Enumerate forms with a, |b| <= box (default |disc|) and c >= 1, and count
+    their distinct reductions; only primitive forms unless primitive=False.
+
+    Every reduced form has a <= sqrt(|disc|/3) and |b| <= a, so any box from
+    there up finds them all.
+    """
+    bound = -disc if box is None else box
     seen = set()
     for a in range(1, bound + 1):
         for b in range(-bound, bound + 1):
@@ -149,12 +155,15 @@ def brute_box_class_count(disc):
             if t % (4 * a):
                 continue
             c = t // (4 * a)
-            if c < 1 or c > bound:
-                continue
-            if gcd(gcd(a, b), c) != 1:
+            if primitive and gcd(gcd(a, b), c) != 1:
                 continue
             seen.add(reduce((a, b, c)))
     return len(seen)
+
+
+def all_reduced_form_count(disc):
+    """T(disc): every reduced form, primitive or not, by the box oracle."""
+    return brute_box_class_count(disc, box=isqrt(-disc), primitive=False)
 
 
 class TestClassNumber:
@@ -200,6 +209,42 @@ class TestClassNumber:
                     if f is not None:
                         assert_form_of(disc, f)
                         assert f in forms
+
+
+class TestFormCounts:
+    RANGE = [D for D in range(-3, -3000, -1) if D % 4 in (0, 1)]
+
+    def test_matches_the_box_count_of_all_reduced_forms(self):
+        counts = form_counts(self.RANGE)
+        for disc in self.RANGE:
+            assert counts[disc] == all_reduced_form_count(disc), disc
+
+    def test_sums_the_class_numbers_of_the_orders_above(self):
+        counts = form_counts(self.RANGE)
+        for disc in self.RANGE:
+            orders = [disc // (f * f) for f in range(1, isqrt(-disc) + 1)
+                      if disc % (f * f) == 0 and (disc // (f * f)) % 4 in (0, 1)]
+            assert counts[disc] == sum(class_number(d) for d in orders), disc
+
+    def test_mixed_batch_equals_single_calls(self):
+        batch = [-3, -99995, -4, -20, -3 * 41**2, -4 * 37**2, -1000, -3, -12, -65535, -7,
+                 -4 * 3**10, -2, 5]
+        counts = form_counts(batch)
+        assert set(counts) == set(batch)
+        assert all(counts[d] == form_counts([d])[d] for d in batch)
+        assert counts[-2] == counts[5] == 0  # not negative discriminants
+
+    @pytest.mark.parametrize("disc,t", [(-3, 1), (-4, 1), (-12, 2), (-16, 2), (-27, 2)])
+    def test_edge_discriminants(self, disc, t):
+        assert form_counts([disc]) == {disc: t}
+
+    def test_boundaries_three_and_four_a_squared(self):
+        # (a, a, a) sits at |D| = 3a^2 and (a, 0, a) at |D| = 4a^2: the ties
+        # b = a and c = a, and the first a whose roots pass without a check
+        discs = [-k * a * a for a in range(1, 61) for k in (3, 4) if (k * a * a) % 4 in (0, 3)]
+        counts = form_counts(discs)
+        for disc in discs:
+            assert counts[disc] == all_reduced_form_count(disc), disc
 
 
 class TestGenus:

@@ -123,6 +123,6 @@ def test_velu_graph_side_equals_order_side(p, ell):
     r_max = 2 + len(expected)
     _, mat = velu_adjacency(p, ell)
     graph = directed_cycle_counts(closed_nbw_counts(matrix_operator(mat), r_max))
-    orders = {r: order_side_cycle_count(r, p, ell) for r in range(3, r_max + 1)}
+    orders = order_side_cycle_count(r_max, p, ell).cycles
     assert [graph[r] for r in range(3, r_max + 1)] == expected
     assert orders == graph
