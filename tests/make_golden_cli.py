@@ -38,6 +38,9 @@ def corpus() -> list[list[str]]:
                  for p in range(5, 400) if is_prime(p)]
     cmds.append(["graph", "--p", "179", "--ell", "2", "--format", "json"])
     cmds += [["graph", "--p", str(p), "--ell", "3", "--format", "dot"] for p in (1009, 3229)]
+    # the ell = 3 graphs of perfbench's graph-sweep, one per residue class mod 12
+    cmds += [["graph", "--p", str(p), "--ell", "3", "--format", "json"]
+             for p in (1033, 1049, 1063, 2003)]
     for ell, below, r_max in ((2, 1000, 9), (3, 400, 6)):
         cmds += [["count", "--p", str(p), "--ell", str(ell), "--r-max", str(r_max),
                   "--method", "both"] for p in range(13, below, 12) if is_prime(p)]
