@@ -441,12 +441,32 @@ def _candidates(p):
 
 
 def _split_linear(g, p, n):
-    """Roots of monic squarefree g that is a product of distinct linear factors."""
-    if len(g) - 1 <= 0:
+    """Roots of monic squarefree g that is a product of distinct linear factors.
+
+    Degrees up to 3 are solved in closed form, by the quadratic formula and
+    by Cardano (Cohen, Alg. 1.6.1); from degree 4 on, equal-degree splitting
+    by gcd with (x + c)^((p^2 - 1)/2) - 1 over the candidates c separates
+    the roots.  Cardano cannot fail on a split cubic: Q^2/4 + P^3/27 is -3
+    times a square, and -3 is a square in F_{p^2}; u is a Lagrange resolvent
+    of the roots, which lies in F_{p^2} with the cube roots of unity.  So a
+    None from it is refused, not retried.
+    """
+    deg = len(g) - 1
+    if deg <= 0:
         return []
-    if len(g) - 1 == 1:
+    if deg == 1:
         a, b = g[0]
         return [(-a % p, -b % p)]
+    if deg == 2:
+        return _quadratic_roots(g, p, n)
+    if deg == 3:
+        roots = _cubic_roots(g, p, n)
+        if roots is None:
+            raise ArithmeticError(
+                f"poly_roots(p={p}): Cardano found no root of a cubic factor; it does "
+                f"not split into distinct linear factors over F_(p^2)"
+            )
+        return roots
     e = (p * p - 1) // 2
     for cand in _candidates(p):
         w = _ppowmod([cand, (1, 0)], e, g, p, n)
@@ -459,7 +479,7 @@ def _split_linear(g, p, n):
             return roots + _split_linear(g, p, n)
     raise ArithmeticError(
         f"poly_roots(p={p}): no splitting candidate separates the roots of a "
-        f"degree-{len(g) - 1} factor; it does not split into distinct linear "
+        f"degree-{deg} factor; it does not split into distinct linear "
         f"factors over F_(p^2)"
     )
 
@@ -502,7 +522,8 @@ def _quadratic_roots(c, p, n):
     try:
         ra, rb = _sqrt_fp2(disc, p, n)
     except ArithmeticError as exc:
-        raise ArithmeticError(f"discriminant of the deflated quadratic: {exc}") from None
+        raise ArithmeticError(f"poly_roots(p={p}): discriminant of a quadratic factor: "
+                              f"{exc}") from None
     half = (p + 1) // 2
     return [((ra - a) * half % p, (rb - b) * half % p),
             ((-ra - a) * half % p, (-rb - b) * half % p)]

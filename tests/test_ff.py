@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isocycles import ff
 from isocycles.ff import (
     PRIMALITY_BOUND,
     PolyOverFp2,
@@ -15,6 +16,7 @@ from isocycles.ff import (
     _cube_root,
     _cubic_roots,
     _inv2,
+    _ppowmod,
     _roots_internal,
     _split_linear,
     _sqrt_fp2,
@@ -248,16 +250,71 @@ class TestPolyRoots:
         with pytest.raises(ValueError):
             poly_roots(PolyOverFp2(F, coeffs))
 
-    def test_splitting_gives_up_on_irreducible_quadratic(self):
-        # x^2 - t with t a non-square in F_{p^2} has no root there; the
-        # splitting loop stops after its 2p distinct candidates
+    def test_splitting_gives_up_on_irreducible_quartic(self):
+        # x^4 - t with t a non-square in F_{p^2} is irreducible there, as
+        # 13^2 = 1 mod 4; the splitting loop stops after its 2p distinct
+        # candidates
         p = 13
         F = PrimeField(p)
         assert len(set(_candidates(p))) == len(list(_candidates(p))) == 2 * p
-        t = next(F.elem(a, b) for a, b in itertools.product(range(p), repeat=2)
-                 if kronecker_symbol(a * a - F.non_residue * b * b, p) == -1)
-        with pytest.raises(ArithmeticError, match=r"poly_roots\(p=13\).*degree-2"):
-            _split_linear([(-t.a % p, -t.b % p), (0, 0), (1, 0)], p, F.non_residue)
+        t = _non_square(F)
+        with pytest.raises(ArithmeticError, match=r"poly_roots\(p=13\).*degree-4"):
+            _split_linear([(-t[0] % p, -t[1] % p)] + [(0, 0)] * 3 + [(1, 0)], p,
+                          F.non_residue)
+
+    def test_split_linear_refuses_a_quadratic_with_no_root(self):
+        # x^2 - t goes to the quadratic formula, whose square root fails
+        p = 13
+        F = PrimeField(p)
+        t = _non_square(F)
+        with pytest.raises(ArithmeticError, match=r"^poly_roots\(p=13\): discriminant of "
+                                                  r"a quadratic factor: .* not a square"):
+            _split_linear([(-t[0] % p, -t[1] % p), (0, 0), (1, 0)], p, F.non_residue)
+
+    def test_split_linear_refuses_a_cubic_with_no_root(self):
+        # x^3 - g for a non-cube g goes to Cardano, which finds no cube root;
+        # no splitting runs after it
+        p = 13
+        n = PrimeField(p).non_residue
+        g = next(z for z in itertools.product(range(p), repeat=2)
+                 if z != (0, 0) and _cube_root(z, p, n) is None)
+        with pytest.raises(ArithmeticError, match=r"^poly_roots\(p=13\): Cardano found no "
+                                                  r"root of a cubic factor"):
+            _split_linear([(-g[0] % p, -g[1] % p), (0, 0), (0, 0), (1, 0)], p, n)
+
+    def test_split_linear_on_every_split_quadratic_and_cubic_over_f25(self):
+        # 300 quadratics and 2300 cubics with distinct roots in F_25
+        p = 5
+        F = PrimeField(p)
+        elements = list(itertools.product(range(p), repeat=2))
+        cases = 0
+        for k in (2, 3):
+            for roots in itertools.combinations(elements, k):
+                g = list(PolyOverFp2.from_roots(F, roots).coeff_pairs())
+                assert sorted(_split_linear(g, p, F.non_residue)) == list(roots)
+                cases += 1
+        assert cases == 2600
+
+    @pytest.mark.parametrize("p", [13, 179, 3229])
+    def test_split_linear_powers_only_from_degree_4(self, monkeypatch, p):
+        F = PrimeField(p)
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[2]) - 1)
+            return _ppowmod(*args)
+
+        monkeypatch.setattr(ff, "_ppowmod", counted)
+        rng = random.Random(p)
+        for k in (1, 2, 3, 4, 6):
+            roots = set()
+            while len(roots) < k:
+                roots.add((rng.randrange(p), rng.randrange(p)))
+            g = list(PolyOverFp2.from_roots(F, roots).coeff_pairs())
+            assert sorted(_split_linear(g, p, F.non_residue)) == sorted(roots)
+            assert (k >= 4) == bool(calls)
+            assert all(deg >= 4 for deg in calls)
+            calls.clear()
 
     def test_constant_poly_has_no_roots(self):
         F = PrimeField(7)
@@ -369,6 +426,13 @@ class TestKnownRoot:
         f = poly_mul(PolyOverFp2.from_roots(F, [(1, 0)]), PolyOverFp2(F, [(0, -1), 0, 1]))
         with pytest.raises(ArithmeticError, match="not a square"):
             poly_roots(f, known_root=(1, 0))
+
+
+def _non_square(F):
+    """The first a + b*s in F_{p^2}, as an (a, b) pair, that is not a square."""
+    p, n = F.p, F.non_residue
+    return next((a, b) for a, b in itertools.product(range(p), repeat=2)
+                if kronecker_symbol(a * a - n * b * b, p) == -1)
 
 
 def _cubic(F, c2, c1, c0):
