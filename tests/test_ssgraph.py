@@ -165,7 +165,11 @@ class TestSeedCubic:
         rows = reduce_mod_p(resolve_modular_polynomial(2, None), p)
         c = instantiate(rows, initial_supersingular_j(p), p, F.non_residue)
         assert ff._cubic_roots(c, p, F.non_residue) is not None
-        assert poly_roots(PolyOverFp2(F, c)) == _roots_internal(c, p, F.non_residue)
+        roots = poly_roots(PolyOverFp2(F, c))
+        assert roots == _roots_internal(c, p, F.non_residue)
+        # _roots_internal solves the split part by Cardano too; the rebuilt
+        # cubic is the check that does not share that formula
+        assert PolyOverFp2.from_roots(F, roots) == PolyOverFp2(F, c)
 
     @pytest.mark.parametrize("p", [179, 1013, 1031, 20029])
     def test_no_general_splitting_at_ell_2(self, monkeypatch, p):
