@@ -671,13 +671,15 @@ def poly_roots(f: PolyOverFp2, known_root: tuple[int, int] | None = None) -> lis
 
     Distinct-degree splitting against x^(p^2) - x isolates the linear part,
     equal-degree splitting with a deterministic candidate sequence separates
-    the roots, and multiplicities are read off by repeated division.  Given
-    a root the caller already knows, as a reduced (a, b) pair, f is divided
-    by it first, and a quadratic left over is solved with one square root in
-    F_{p^2}; a nonzero remainder refuses a known root that is not one.  A
-    cubic, f itself or the quotient left by the known root, is solved by
-    Cardano's formula when it splits into linear factors over F_{p^2}, and
-    by the general splitting otherwise.
+    it into factors of degree at most 3, which the quadratic formula and
+    Cardano's formula solve, and multiplicities are read off by repeated
+    division.  Given a root the caller already knows, as a reduced (a, b)
+    pair, f is divided by it first, and a quadratic left over is solved
+    with one square root in F_{p^2}; a nonzero remainder refuses a known
+    root that is not one.  A cubic, f itself or the quotient left by the
+    known root, goes to Cardano's formula first, with no Frobenius power,
+    and to the general path only when it does not split into linear
+    factors over F_{p^2}.
     """
     if f.degree < 0:
         raise ValueError("zero polynomial has no root multiset")

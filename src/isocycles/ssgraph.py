@@ -6,7 +6,11 @@ instantiated modular polynomial, and the vertex census is validated
 against the closed-form count.  At ell = 2 a vertex's roots other than its
 BFS parent come from one square root in F_{p^2} (Charles-Goren-Lauter),
 and the seed's come from Cardano's formula, since its cubic splits in
-F_{p^2}; every vertex for ell >= 3 uses the general splitting.
+F_{p^2}.  Every vertex for ell >= 3 takes the general path: a Frobenius
+power isolates the distinct roots, equal-degree splitting runs only while
+a factor has degree 4 or more (at ell = 3, one successful split per vertex
+at most), and the quadratic formula or Cardano's formula solves the
+factors left.
 """
 
 from __future__ import annotations
