@@ -491,6 +491,9 @@ class TestCubicRoots:
             else:
                 assert len(roots) == 3 and all((F.elem(*r) ** 3).key() == a for r in roots)
                 assert sorted(roots) == _roots_internal(c, p, n)
+                # _roots_internal solves a split cubic by Cardano too; the
+                # rebuilt cubic is the check that does not share that formula
+                assert PolyOverFp2.from_roots(F, roots) == PolyOverFp2(F, c)
         assert 0 < first_zero < 3 * (p - 1)
 
     def test_one_root_and_no_root_fall_back(self):

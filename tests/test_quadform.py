@@ -411,3 +411,6 @@ class TestAgainstClassicalResults:
                                 for k in range(len(qs) + 1)
                                 for sq in itertools.combinations(qs, k))
                 assert primitive == expected, (dk, f)
+                # the enumeration hilbert uses, up to |D| = 2 * 10^5
+                if f * f * -dk <= 2 * 10**5:
+                    assert len(reduced_forms(f * f * dk)) == expected, (dk, f)
