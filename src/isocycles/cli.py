@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import tempfile
+from collections.abc import Iterable
 
 from . import hilbert, nbwalk, ordercount, ssgraph
 from .ff import PRIMALITY_BOUND, is_prime
@@ -97,15 +98,17 @@ def _validate(args):
             raise ValueError(f"--out {out}: no directory {directory}")
 
 
-def _write(text: str, out_path: str | None):
+def _write(text: str | Iterable[str], out_path: str | None):
+    """Write the payload, a string or its pieces in order, to --out or stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     directory = os.path.dirname(os.path.abspath(out_path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".isocycles-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, out_path)
     except BaseException:
         if os.path.exists(tmp):
@@ -120,7 +123,7 @@ def _summary(line: str):
 def _graph(args):
     g = ssgraph.build_graph(args.p, args.ell, modpoly_dir=args.modpoly_dir)
     expected = ssgraph.vertex_count_formula(args.p)
-    text = g.to_dot() if args.format == "dot" else g.to_json()
+    text = g.to_dot() if args.format == "dot" else g.json_chunks()
     _summary(f"vertices: {g.vertex_count}  formula: {expected}  "
              f"census: {'ok' if g.vertex_count == expected else 'MISMATCH'}")
     return text, g.vertex_count == expected

@@ -43,6 +43,29 @@ class TestGraphCommand:
         payload = json.loads(out.read_text())
         assert len(payload["vertices"]) == 16
 
+    @pytest.mark.parametrize("to_out", [True, False], ids=["out", "stdout"])
+    def test_json_is_written_in_pieces(self, capsys, monkeypatch, tmp_path, g3361, to_out):
+        # the encoder's bytes, with a peak near twice the text, where joining
+        # its chunks first peaks near eight times
+        import tracemalloc
+
+        text = "".join(g3361.json_chunks())
+        assert json.dumps(json.loads(text), indent=2) + "\n" == text
+        monkeypatch.setattr(ssgraph, "build_graph", lambda p, ell, modpoly_dir: g3361)
+        out = tmp_path / "g.json"
+        argv = ["graph", "--p", "3361", "--ell", "2"] + (["--out", str(out)] if to_out else [])
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stdout = capsys.readouterr().out
+        assert code == 0
+        assert (out.read_text() if to_out else stdout) == text
+        if to_out:
+            assert peak < 4 * len(text)
+
     def test_dot_output(self, capsys, tmp_path):
         out = tmp_path / "g.dot"
         code, _, _ = run(capsys, "graph", "--p", "1009", "--ell", "2",
