@@ -38,6 +38,9 @@ def corpus() -> list[list[str]]:
                  for p in range(5, 400) if is_prime(p)]
     cmds.append(["graph", "--p", "179", "--ell", "2", "--format", "json"])
     cmds += [["graph", "--p", str(p), "--ell", "3", "--format", "dot"] for p in (1009, 3229)]
+    # DOT off p = 1 mod 12, where multiplicities can differ each way ("m/back" labels)
+    cmds += [["graph", "--p", str(p), "--ell", str(ell), "--format", "dot"]
+             for p, ell in ((101, 2), (103, 3), (179, 2), (179, 3))]
     # the ell = 3 graphs of perfbench's graph-sweep, one per residue class mod 12
     cmds += [["graph", "--p", str(p), "--ell", "3", "--format", "json"]
              for p in (1033, 1049, 1063, 2003)]
@@ -67,6 +70,8 @@ def corpus() -> list[list[str]]:
         ["locate", "--disc", "-1183", "--p", "13", "--ell", "2"],
         ["locate", "--disc", "-7831", "--p", "3361", "--ell", "2"],
         ["locate", "--disc", "-31", "--p", "179", "--ell", "5"],
+        ["locate", "--disc", "-36", "--p", "179", "--ell", "3"],               # ell | conductor
+        ["locate", "--disc", "-32", "--p", "179", "--ell", "2"],
         ["locate", "--disc", "-100787", "--p", "150001", "--ell", "3"],
         ["locate", "--disc", "-99999999", "--p", "179", "--ell", "2"],
         ["locate", "--disc", "-100000004", "--p", "179", "--ell", "2"],
@@ -75,6 +80,8 @@ def corpus() -> list[list[str]]:
         ["bound", "--ell", "1000000007", "--N", "40"],                       # bound_b(
         ["spectral", "--p", "179", "--ell", "2"],                             # p = 1 mod 12 gate
         ["count", "--p", "179", "--ell", "2", "--r-max", "4", "--method", "graph"],
+        ["count", "--p", "101", "--ell", "2", "--r-max", "4", "--method", "graph"],
+        ["spectral", "--p", "103", "--ell", "2"],
         ["graph", "--p", "4", "--ell", "2"],                                  # flag checks
         ["graph", "--p", "5", "--ell", "5"],
         ["count", "--p", "179", "--ell", "2", "--r-max", "99", "--method", "orders"],
