@@ -123,23 +123,16 @@ def _summary(line: str):
 def _graph(args):
     g = ssgraph.build_graph(args.p, args.ell, modpoly_dir=args.modpoly_dir)
     expected = ssgraph.vertex_count_formula(args.p)
-    text = g.to_dot() if args.format == "dot" else g.json_chunks()
+    text = g.dot_lines() if args.format == "dot" else g.json_chunks()
     _summary(f"vertices: {g.vertex_count}  formula: {expected}  "
              f"census: {'ok' if g.vertex_count == expected else 'MISMATCH'}")
     return text, g.vertex_count == expected
 
 
-def _require_graph_side(what: str, p: int):
-    """Refuse, before the graph is built, a p the graph side does not cover."""
-    if p % 12 != 1:
-        raise ValueError(f"{what} needs p = 1 mod 12 (extra-automorphism gate); "
-                         f"p={p} is {p % 12} mod 12")
-
-
 def _count(args):
     p, ell, r_max = args.p, args.ell, args.r_max
     if args.method in ("graph", "both"):
-        _require_graph_side("graph-side counting", p)
+        nbwalk.require_graph_side("graph-side counting", p)
     if args.method in ("orders", "both"):
         for r in range(3, r_max + 1):
             ordercount.check_level(r, p, ell)
@@ -206,7 +199,7 @@ def _bound(args):
 
 
 def _spectral(args):
-    _require_graph_side("the spectral check", args.p)
+    nbwalk.require_graph_side("the spectral check", args.p)
     g = ssgraph.build_graph(args.p, args.ell, modpoly_dir=args.modpoly_dir)
     lam1, lam2, verdict = nbwalk.spectral_check(g)
     payload = {"schema": 1, "p": args.p, "ell": args.ell,

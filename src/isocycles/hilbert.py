@@ -408,7 +408,9 @@ def locate_rim_vertices(D, p: int, ell: int, *, modpoly_dir: str | None) -> list
                 f"degree cap {MAX_ROOT_DEGREE}"
             )
         phi = resolve_modular_polynomial(ell, modpoly_dir)
-        if quadform.splitting_type(disc, ell) != quadform.SPLIT:
+        if disc.conductor % ell == 0:
+            raise ValueError(f"{ell} divides the conductor of {disc.value}")
+        if kronecker_symbol(disc.fundamental, ell) != 1:
             raise ValueError(f"{ell} does not split in discriminant {disc.value}")
         if disc.conductor % p == 0:
             raise ValueError(f"p={p} divides the conductor of {disc.value}")

@@ -70,14 +70,18 @@ class NonBacktrackingOperator:
         return len(self.adjacency) * (self.ell + 1)
 
 
+def require_graph_side(what: str, p: int):
+    """Refuse a p the graph side does not cover: off p = 1 mod 12, j = 0 or
+    1728 is a vertex and its extra automorphisms make adjacency asymmetric."""
+    if p % 12 != 1:
+        raise ValueError(f"{what} needs p = 1 mod 12 (extra-automorphism gate); "
+                         f"p={p} is {p % 12} mod 12")
+
+
 def build_nb_operator(graph: IsogenyGraph) -> NonBacktrackingOperator:
     """B on a p = 1 mod 12 graph, whose adjacency `build_graph` certifies
     symmetric and (ell + 1)-regular."""
-    if not graph.regular_flag:
-        raise ValueError(
-            f"build_nb_operator(p={graph.p}, ell={graph.ell}): graph has p != 1 mod 12; "
-            "the operator requires honest (ell+1)-regular undirected semantics"
-        )
+    require_graph_side(f"build_nb_operator(p={graph.p}, ell={graph.ell})", graph.p)
     return NonBacktrackingOperator(graph.adjacency, graph.ell)
 
 
@@ -169,9 +173,7 @@ def spectral_check(graph: IsogenyGraph):
     A is applied through the neighbour array, so no n x n matrix is formed.
     A single vertex has no eigenvalue on 1-perp; lambda2 is then 0.
     """
-    if not graph.regular_flag:
-        raise ValueError(f"spectral_check(p={graph.p}, ell={graph.ell}): "
-                         "spectral check requires p = 1 mod 12")
+    require_graph_side(f"spectral_check(p={graph.p}, ell={graph.ell})", graph.p)
     import numpy as np
 
     ell = graph.ell

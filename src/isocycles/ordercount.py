@@ -62,20 +62,25 @@ def check_level(N: int, p: int, ell: int):
         )
 
 
-def q_set(N: int, p: int, ell: int) -> list[int]:
-    """Traces x of norm-ell^N elements whose fraction field K is not split at p.
+def q_set(N: int, p: int, ell: int) -> list[tuple[int, int, int]]:
+    """(x, D'_x, 1 - (D'_x/p)) for each trace x of norm-ell^N elements whose
+    fraction field K is not split at p.
 
-    All 0 < x < 2*ell^(N/2) with x nonzero mod ell and (D_K/p) != 1, read
-    off x^2 - 4*ell^N as its Kronecker symbol at p once every factor p^2 is
-    divided out.
+    All 0 < x < 2*ell^(N/2) with x nonzero mod ell and (D_K/p) != 1.  D'_x
+    is x^2 - 4*ell^N with every factor p^2 divided out; its Kronecker symbol
+    at p is (D_K/p), and 1 - (D'_x/p) is Eichler's factor of every order
+    above x with conductor prime to p.
     """
     check_level(N, p, ell)
     four_n = 4 * ell**N
     out = []
     x = 1
     while x * x < four_n:
-        if x % ell and kronecker_symbol(_prime_to_p(x * x - four_n, p), p) != 1:
-            out.append(x)
+        if x % ell:
+            delta = _prime_to_p(x * x - four_n, p)
+            k = kronecker_symbol(delta, p)
+            if k != 1:
+                out.append((x, delta, 1 - k))
         x += 1
     return out
 
@@ -104,18 +109,6 @@ def epsilon(D, p: int) -> EpsilonValue:
         raise ValueError(f"epsilon(D={D.value}, p={p}): p={p} splits in the field of "
                          f"discriminant {D.value}")
     return EpsilonValue("exact", 1 - k)
-
-
-def _level_terms(N: int, p: int, ell: int) -> list[tuple[int, int, int]]:
-    """(x, D'_x, 1 - (D'_x/p)) for each x in q_set: the trace, its
-    discriminant with every p^2 divided out, and Eichler's factor of every
-    order above x with conductor prime to p."""
-    four_n = 4 * ell**N
-    out = []
-    for x in q_set(N, p, ell):
-        delta = _prime_to_p(x * x - four_n, p)
-        out.append((x, delta, 1 - kronecker_symbol(delta, p)))
-    return out
 
 
 def _swept_sums(terms: dict, fields=()) -> tuple[dict[int, int], dict[int, int]]:
@@ -153,7 +146,7 @@ def _records(N: int, p: int, ell: int) -> tuple[list[OrderRecord], dict[int, int
     One sweep counts the forms of every field and of every D'_x of the
     levels d; each order's h is lifted from its field's.
     """
-    terms = {d: _level_terms(d, p, ell) for d in divisors(N)}
+    terms = {d: q_set(d, p, ell) for d in divisors(N)}
     four_n = 4 * ell**N
     orders = []
     for x, _, _ in terms[N]:
@@ -192,7 +185,7 @@ def order_side_cycle_count(N: int, p: int, ell: int) -> OrderSideCounts:
     where = f"order_side_cycle_count(N={N}, p={p}, ell={ell}): "
     if N < 3:
         raise ValueError(f"{where}cycle counts are defined for N >= 3")
-    sums, _ = _swept_sums({n: _level_terms(n, p, ell) for n in range(1, N + 1)})
+    sums, _ = _swept_sums({n: q_set(n, p, ell) for n in range(1, N + 1)})
     return OrderSideCounts(sums, {r: _cycle_count(r, sums, where) for r in range(3, N + 1)})
 
 

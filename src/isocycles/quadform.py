@@ -20,10 +20,6 @@ from .ff import factor, kronecker_symbol
 
 MAX_ABS_DISC = 10**8
 
-SPLIT = "split"
-RAMIFIED = "ramified"
-INERT = "inert"
-
 
 class Discriminant:
     """Negative discriminant with cached factorisation, fundamental part and conductor.
@@ -278,11 +274,3 @@ def form_order(D, form: tuple[int, int, int]) -> int:
         k += 1
     return k
 
-
-def splitting_type(D, q: int) -> str:
-    """Behaviour of q in the order: split/ramified/inert via the fundamental part."""
-    D = as_discriminant(D)
-    if D.conductor % q == 0:
-        raise ValueError(f"{q} divides the conductor of {D.value}")
-    k = kronecker_symbol(D.fundamental, q)
-    return SPLIT if k == 1 else RAMIFIED if k == 0 else INERT

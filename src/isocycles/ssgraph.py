@@ -63,8 +63,7 @@ class IsogenyGraph:
     """Vertices are supersingular j-invariants; directed multi-edges come
     from root multiplicities of the instantiated modular polynomial."""
 
-    __slots__ = ("p", "ell", "field", "vertices", "vertex_index", "adjacency",
-                 "regular_flag")
+    __slots__ = ("p", "ell", "field", "vertices", "vertex_index", "adjacency")
 
     def __init__(self, p, ell, field, vertices, adjacency):
         self.p = p
@@ -73,7 +72,6 @@ class IsogenyGraph:
         self.vertices = vertices
         self.vertex_index = {v: i for i, v in enumerate(vertices)}
         self.adjacency = adjacency
-        self.regular_flag = p % 12 == 1
 
     @property
     def vertex_count(self) -> int:
@@ -102,22 +100,22 @@ class IsogenyGraph:
         yield from json.JSONEncoder(indent=2).iterencode(payload)
         yield "\n"
 
-    def to_dot(self) -> str:
-        lines = [f'graph isogeny_{self.p}_{self.ell} {{']
+    def dot_lines(self):
+        """The DOT export, line by line, each line ending in "\n"."""
+        yield f'graph isogeny_{self.p}_{self.ell} {{\n'
         for i in range(self.vertex_count):
-            lines.append(f'  v{i} [label="{self.label(i)}"];')
+            yield f'  v{i} [label="{self.label(i)}"];\n'
         for i, row in enumerate(self.adjacency):
             for j, m in sorted(row.items()):
                 if j < i:
                     continue
                 if j == i:
-                    lines.append(f'  v{i} -- v{i} [label={m}];')
+                    yield f'  v{i} -- v{i} [label={m}];\n'
                 else:
                     back = self.adjacency[j].get(i, 0)
                     tag = str(m) if back == m else f'"{m}/{back}"'
-                    lines.append(f'  v{i} -- v{j} [label={tag}];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+                    yield f'  v{i} -- v{j} [label={tag}];\n'
+        yield "}\n"
 
 
 def build_graph(p: int, ell: int, modpoly_dir: str | None = None) -> IsogenyGraph:
@@ -195,7 +193,9 @@ def _build(p, ell, modpoly_dir):
 
 
 def _validate(graph: IsogenyGraph):
-    if graph.regular_flag:
+    # at p = 1 mod 12 neither 0 nor 1728 is supersingular, so the graph must
+    # avoid both and every multiplicity must be symmetric
+    if graph.p % 12 == 1:
         zero = graph.field.zero
         j1728 = graph.field.elem(1728)
         if zero in graph.vertex_index or j1728 in graph.vertex_index:

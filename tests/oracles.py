@@ -184,7 +184,7 @@ def rw_distribution_distance(graph, subset, t: int):
     Returns (max_j |Pr_t(j) - 1/n|, (1/#S) * (2*sqrt(ell)/(ell+1))^t).
     """
     where = f"rw_distribution_distance(p={graph.p}, ell={graph.ell}, t={t}): "
-    if not graph.regular_flag:
+    if graph.p % 12 != 1:
         raise ValueError(f"{where}random-walk bound requires p = 1 mod 12")
     subset = sorted(set(subset))
     if not subset:

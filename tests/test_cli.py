@@ -66,6 +66,28 @@ class TestGraphCommand:
         if to_out:
             assert peak < 4 * len(text)
 
+    def test_dot_is_written_in_pieces(self, monkeypatch, tmp_path, g1009, g3361):
+        # line by line, the export's peak grows by less than its text does;
+        # joined first, it grew by about five times as much
+        import tracemalloc
+
+        graphs = {1009: g1009, 3361: g3361}
+        monkeypatch.setattr(ssgraph, "build_graph", lambda p, ell, modpoly_dir: graphs[p])
+        sizes, peaks = [], []
+        for p, g in graphs.items():
+            out = tmp_path / f"g{p}.dot"
+            tracemalloc.start()
+            try:
+                code = main(["graph", "--p", str(p), "--ell", "2", "--format", "dot",
+                             "--out", str(out)])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            text = out.read_text()
+            assert code == 0 and text == "".join(g.dot_lines())
+            sizes.append(len(text))
+        assert peaks[1] - peaks[0] < sizes[1] - sizes[0]
+
     def test_dot_output(self, capsys, tmp_path):
         out = tmp_path / "g.dot"
         code, _, _ = run(capsys, "graph", "--p", "1009", "--ell", "2",

@@ -69,7 +69,9 @@ class TestOperator:
             matrix_operator([[0, 1, 1], [1, 0, 0], [1, 0, 2]])
 
     def test_non_regular_flag_graph_rejected(self, g179):
-        with pytest.raises(ValueError, match=r"^build_nb_operator\(p=179, ell=2\): .*1 mod 12"):
+        with pytest.raises(ValueError, match=r"^build_nb_operator\(p=179, ell=2\) needs "
+                                             r"p = 1 mod 12 \(extra-automorphism gate\); "
+                                             r"p=179 is 11 mod 12$"):
             build_nb_operator(g179)
 
     def test_loop_halfedge_expansion(self):
@@ -186,7 +188,7 @@ class TestSpectral:
         assert abs(lam2 - true_lam2) < 1e-6
 
     def test_non_regular_rejected(self, g179):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^spectral_check\(p=179, ell=2\) needs p = 1 mod 12"):
             spectral_check(g179)
 
     def test_ramanujan_with_loops(self, g3229):

@@ -15,18 +15,18 @@ from isocycles.ordercount import (
     order_side_cycle_count,
     q_set,
 )
-from isocycles.quadform import SPLIT, Discriminant, splitting_type
+from isocycles.quadform import Discriminant
 from isocycles.ssgraph import build_graph
 
 
 class TestQSet:
     def test_wp179_ell2(self):
-        assert q_set(1, 179, 2) == []
-        assert q_set(2, 179, 2) == [1]
-        assert q_set(3, 179, 2) == [1]
-        assert q_set(4, 179, 2) == [5, 7]
-        assert q_set(5, 179, 2) == [9]
-        assert q_set(6, 179, 2) == [1, 3, 5, 11, 13, 15]
+        assert [x for x, _, _ in q_set(1, 179, 2)] == []
+        assert [x for x, _, _ in q_set(2, 179, 2)] == [1]
+        assert [x for x, _, _ in q_set(3, 179, 2)] == [1]
+        assert [x for x, _, _ in q_set(4, 179, 2)] == [5, 7]
+        assert [x for x, _, _ in q_set(5, 179, 2)] == [9]
+        assert [x for x, _, _ in q_set(6, 179, 2)] == [1, 3, 5, 11, 13, 15]
 
     def test_equal_primes_rejected(self):
         with pytest.raises(ValueError):
@@ -39,7 +39,7 @@ class TestQSet:
             q_set(41, 179, 2)
 
     def test_membership_conditions(self):
-        for x in q_set(8, 1009, 2):
+        for x, _, _ in q_set(8, 1009, 2):
             delta = x * x - 4 * 2**8
             assert x % 2 == 1
             assert kronecker_symbol(Discriminant(delta).fundamental, 1009) != 1
@@ -47,10 +47,36 @@ class TestQSet:
     def test_keeps_traces_with_p_squared_in_the_discriminant(self):
         # 83^2 - 4*3^7 = -11*13^2 and 86^2 - 4*3^7 = -8*13^2: 13 is inert in
         # Q(sqrt(-11)) and Q(sqrt(-2)), so both traces stay
-        assert {83, 86} <= set(q_set(7, 13, 3))
+        assert {83, 86} <= {x for x, _, _ in q_set(7, 13, 3)}
         records = order_census(7, 13, 3)["records"]
         assert {(rec["x"], rec["discriminant"], rec["eps"]) for rec in records
                 if rec["x"] in (83, 86)} == {(83, -11, 2), (86, -8, 2)}
+
+    LEVELS = [(179, 2, 9), (1009, 2, 8), (13, 3, 7), (13, 2, 14)]
+
+    @pytest.mark.parametrize("p, ell, N", LEVELS)
+    def test_discriminant_is_prime_to_p_squared(self, p, ell, N):
+        for x, delta, _ in q_set(N, p, ell):
+            assert delta % (p * p)
+            rest, rem = divmod(x * x - 4 * ell**N, delta)
+            assert rem == 0
+            while rest % (p * p) == 0:
+                rest //= p * p
+            assert rest == 1
+
+    @pytest.mark.parametrize("p, ell, N", LEVELS)
+    def test_eps_is_eichlers_factor_of_the_field(self, p, ell, N):
+        for _, delta, eps in q_set(N, p, ell):
+            assert eps == 1 - kronecker_symbol(Discriminant(delta).fundamental, p)
+
+    # x^2 - 4*ell^N is -11*13^2, -8*13^2, -7^3*13^2 and -15*13^2; 13 is
+    # inert in each field, which the undivided discriminant would read as ramified
+    @pytest.mark.parametrize("p, ell, N, x", [(13, 3, 7, 83), (13, 3, 7, 86),
+                                              (13, 2, 14, 87), (13, 2, 14, 251)])
+    def test_eps_where_p_squared_divides(self, p, ell, N, x):
+        assert (x * x - 4 * ell**N) % (p * p) == 0
+        (delta, eps), = [(d, e) for y, d, e in q_set(N, p, ell) if y == x]
+        assert eps == 1 - kronecker_symbol(Discriminant(delta).fundamental, p) == 2
 
 
 class TestEpsilon:
@@ -149,14 +175,14 @@ class TestEnumerateOrders:
         assert all(r.l_order == 6 for r in recs)
 
     def test_minus_31_appears_at_x15_but_filtered(self):
-        assert 15 in q_set(6, 179, 2)
+        assert 15 in {x for x, _, _ in q_set(6, 179, 2)}
         assert -31 not in {r.discriminant.value for r in enumerate_orders(6, 179, 2)}
 
     def test_record_invariants(self):
         for n in (3, 4, 5, 6, 7):
             for rec in enumerate_orders(n, 1009, 2):
                 d = rec.discriminant
-                assert splitting_type(d, 2) == SPLIT
+                assert d.conductor % 2 and kronecker_symbol(d.fundamental, 2) == 1
                 assert kronecker_symbol(d.fundamental, 1009) != 1
                 assert d.conductor % 1009 != 0
                 assert rec.l_order == n

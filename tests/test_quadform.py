@@ -10,9 +10,6 @@ from sympy import primefactors
 from isocycles import quadform
 from isocycles.ff import kronecker_symbol
 from isocycles.quadform import (
-    INERT,
-    RAMIFIED,
-    SPLIT,
     Discriminant,
     class_number,
     compose,
@@ -23,7 +20,6 @@ from isocycles.quadform import (
     principal_form,
     reduce,
     reduced_forms,
-    splitting_type,
 )
 
 DISC_POOL = [-15, -31, -39, -47, -84, -87, -135, -231, -247, -255, -420, -964, -3299, -9240]
@@ -308,16 +304,6 @@ class TestFormOrder:
 
 
 class TestSplitting:
-    def test_examples(self):
-        assert splitting_type(-31, 2) == SPLIT
-        assert splitting_type(-4, 2) == RAMIFIED
-        assert splitting_type(-135, 2) == SPLIT  # via fundamental part -15
-        assert splitting_type(-31, 3) == INERT
-
-    def test_conductor_rejected(self):
-        with pytest.raises(ValueError):
-            splitting_type(-135, 3)
-
     def test_square_subgroup_membership(self):
         squares = {compose(f, f) for f in reduced_forms(-964)}
         sigma = prime_form(-964, 11)
