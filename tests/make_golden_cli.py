@@ -48,6 +48,9 @@ def corpus() -> list[list[str]]:
         cmds += [["count", "--p", str(p), "--ell", str(ell), "--r-max", str(r_max),
                   "--method", "both"] for p in range(13, below, 12) if is_prime(p)]
     cmds.append(["count", "--p", "1009", "--ell", "2", "--r-max", "10", "--method", "graph"])
+    # traces past 2^63 at the r_max cap; (613, 2) has a half-loop
+    cmds += [["count", "--p", str(p), "--ell", str(ell), "--r-max", "40", "--method", "graph"]
+             for p, ell in ((37, 2), (37, 3), (613, 2), (3361, 2), (3229, 3))]
     cmds.append(["count", "--p", "3361", "--ell", "2", "--r-max", "16", "--method", "orders"])
     for p in (179, 1019, 409):
         cmds += [["orders", "--p", str(p), "--ell", "2", "--r", str(r)] for r in range(3, 10)]
