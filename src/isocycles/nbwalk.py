@@ -36,9 +36,15 @@ S_a S_b = S_{a+b} + ell^min(a, b) S_|a-b| and, A being symmetric,
 so traces up to r_max need the recursion only up to k = ceil(r_max / 2).
 Neither B nor A is formed: A is applied as an n x (ell + 1)
 neighbour-index array, to blocks of columns in O(n * block) memory here
-and to one vector in the spectral estimate.  Entries stay exact: int64
-while the column-sum bound b_k = (ell + 1) b_{k-1} + ell b_{k-2} keeps
-n b_k^2 below 2^63, Python integers past it.  Mobius inversion of the
+and to one vector in the spectral estimate.
+
+Exactness comes from residues.  The recursion runs once in int64, whose
+wrap-around makes it exact mod 2^64, and then once mod each prime m that
+is needed, reducing S_k after every step; n * block * (m - 1)^2 < 2^63
+keeps every block sum in int64.  The moduli must multiply past twice the
+bound n b_j b_k on each |<S_j, S_k>|, where b_k bounds the column sums of
+S_k, and the CRT gives the sums as symmetric residues.  While n b_k^2
+stays below 2^63 the int64 run is the only one.  Mobius inversion of the
 traces gives the primitive directed cycle counts.  Floating point appears
 only in the spectral estimate.
 """
@@ -47,10 +53,11 @@ from __future__ import annotations
 
 import math
 
-from .ff import divisors, mobius
+from .ff import divisors, is_prime, mobius
 from .ssgraph import IsogenyGraph
 
 _INT64_MAX = 2**63 - 1
+_WRAP = 2**64  # int64 arithmetic wraps, so it is exact mod 2^64
 _BLOCK = 128  # columns of S_k held at once
 _POWER_ITERATIONS = 200000
 _POWER_TOL = 1e-8  # stop when successive norms agree this closely
@@ -101,6 +108,51 @@ def _column_sum_bounds(ell: int, k_max: int) -> list[int]:
     return b
 
 
+def _moduli(terms: int, need: int) -> list[int]:
+    """2^64, then primes m with terms * (m - 1)^2 < 2^63, largest first,
+    until their product exceeds `need`: `terms` products of residues fit."""
+    moduli, product = [_WRAP], _WRAP
+    m = math.isqrt(_INT64_MAX // terms) + 1
+    while product <= need:
+        if is_prime(m):
+            moduli.append(m)
+            product *= m
+        m -= 1
+    return moduli
+
+
+def _pairings(nbr, ell: int, r_max: int, modulus: int) -> list[int]:
+    """pairing[r] = |S_k|^2 (r = 2k) or <S_k, S_k+1> (r = 2k + 1) mod
+    `modulus` for r = 1..r_max; index 0 is unused."""
+    import numpy as np
+
+    n = len(nbr)
+
+    def times_a(s):
+        out = s[nbr[:, 0]]
+        for k in range(1, ell + 1):
+            out += s[nbr[:, k]]
+        return out
+
+    pairing = [0] * (r_max + 1)
+    for lo in range(0, n, _BLOCK):
+        width = min(_BLOCK, n - lo)
+        cur = np.zeros((n, width), dtype=np.int64)
+        cur[lo + np.arange(width), np.arange(width)] = 1
+        prev, cur = 2 * cur, times_a(cur)
+        for r in range(1, r_max + 1):
+            if r % 2 == 0:  # (prev, cur) = (S_k-1, S_k) with r = 2k
+                pairing[r] += int(np.vdot(cur, cur))
+                continue
+            if r > 1:  # step to (S_k, S_k+1) with r = 2k + 1
+                prev *= ell
+                prev, cur = cur, times_a(cur) - prev
+                if modulus != _WRAP:
+                    cur -= cur // modulus * modulus  # cur %= modulus, but faster in numpy
+            pairing[r] += int(np.vdot(prev, cur))
+    return pairing
+
+
 def closed_nbw_counts(op: NonBacktrackingOperator, r_max: int) -> list[int]:
     """Traces of operator powers 1..r_max, exact, by the Ihara-Bass recursion."""
     n, ell = len(op.adjacency), op.ell
@@ -113,40 +165,25 @@ def closed_nbw_counts(op: NonBacktrackingOperator, r_max: int) -> list[int]:
     loops_at = (nbr == np.arange(n)[:, None]).sum(axis=1)
     loops = int(loops_at.sum())
     half_loops = int((loops_at % 2).sum())
-    k_max = (r_max + 1) // 2
-    bounds = _column_sum_bounds(ell, k_max)
 
-    def times_a(s):
-        out = s[nbr[:, 0]]
-        for k in range(1, ell + 1):
-            out += s[nbr[:, k]]
-        return out
-
-    # squares[k] = |S_k|^2 and cross[k] = <S_k, S_k+1>, summed over blocks
-    squares = [0] * (k_max + 1)
-    cross = [0] * k_max
-    for lo in range(0, n, _BLOCK):
-        width = min(_BLOCK, n - lo)
-        cur = np.zeros((n, width), dtype=np.int64)
-        cur[lo + np.arange(width), np.arange(width)] = 1
-        prev, cur = 2 * cur, times_a(cur)
-        cross[0] += int(np.vdot(prev, cur))
-        for k in range(1, k_max):
-            if cur.dtype != object and n * bounds[k + 1] ** 2 > _INT64_MAX:
-                prev, cur = prev.astype(object), cur.astype(object)
-            squares[k] += int(np.vdot(cur, cur))
-            prev *= ell
-            prev, cur = cur, times_a(cur) - prev
-            cross[k] += int(np.vdot(prev, cur))
-        squares[k_max] += int(np.vdot(cur, cur))
+    # |pairing[r]| <= n b_floor(r/2) b_ceil(r/2), and np.vdot sums n * _BLOCK
+    # products; the CRT joins one pass per modulus into symmetric residues
+    b = _column_sum_bounds(ell, (r_max + 1) // 2)
+    pairing, product = [0] * (r_max + 1), 1
+    for m in _moduli(n * _BLOCK, 2 * n * b[r_max // 2] * b[(r_max + 1) // 2]):
+        inverse = pow(product, -1, m)
+        pairing = [x + product * ((y - x) * inverse % m)
+                   for x, y in zip(pairing, _pairings(nbr, ell, r_max, m))]
+        product *= m
+    pairing = [x - product if 2 * x >= product else x for x in pairing]
 
     traces = []
     for r in range(1, r_max + 1):
         k = r // 2
         if r % 2:
-            traces.append(cross[k] - ell**k * loops - half_loops)
+            traces.append(pairing[r] - ell**k * loops - half_loops)
         else:
-            traces.append(squares[k] - 2 * n * ell**k + n * (ell - 1))
+            traces.append(pairing[r] - 2 * n * ell**k + n * (ell - 1))
     return traces
 
 

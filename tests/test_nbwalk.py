@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from isocycles import nbwalk
 from isocycles.nbwalk import (
     build_nb_operator,
     closed_nbw_counts,
@@ -21,6 +22,20 @@ from oracles import (
     multiplicity_matrix,
     rw_distribution_distance,
 )
+
+
+def exact_traces(adjacency, r_max):
+    """tr B^r for r = 1..r_max from powers of B on Python ints, B built from
+    the oracle's successor lists."""
+    _, _, successors = expand_edges(adjacency)
+    b = np.zeros((len(successors), len(successors)), dtype=object)
+    for e, succ in enumerate(successors):
+        b[e, succ] = 1
+    traces, power = [], b
+    for _ in range(r_max):
+        traces.append(int(np.trace(power)))
+        power = power.dot(b)
+    return traces
 
 
 def cycle_matrix(n):
@@ -99,21 +114,32 @@ class TestTraces:
             closed_nbw_counts(matrix_operator(cycle_matrix(3)), 0)
 
     @pytest.mark.parametrize("ell", [2, 3])
-    def test_exact_across_int64_bound(self, ell):
+    def test_exact_across_int64_bound(self, ell, monkeypatch):
         # r = 40 takes the recursion past its int64 bound for both ell; at
         # ell = 3 the traces themselves exceed 2^63.  p = 37 has a half-loop
-        # for ell = 2.  B is built here from the oracle's successor lists.
+        # for ell = 2.  The bound asks for one prime pass after the 2^64 pass
+        # at ell = 2 and two at ell = 3.
         g = build_graph(37, ell)
-        _, _, successors = expand_edges(g.adjacency)
-        b = np.zeros((len(successors), len(successors)), dtype=object)
-        for e, succ in enumerate(successors):
-            b[e, succ] = 1
-        exact, power = [], b
-        for _ in range(40):
-            exact.append(int(np.trace(power)))
-            power = power.dot(b)
+        exact = exact_traces(g.adjacency, 40)
+        moduli, pairings = [], nbwalk._pairings
+
+        def counted(nbr, ell, r_max, modulus):
+            moduli.append(modulus)
+            return pairings(nbr, ell, r_max, modulus)
+
+        monkeypatch.setattr(nbwalk, "_pairings", counted)
         assert closed_nbw_counts(build_nb_operator(g), 40) == exact
         assert (max(exact) > 2**63) == (ell == 3)
+        assert moduli[0] == 2**64 and len(moduli) == ell
+
+    def test_prime_bound_counts_the_block_width(self, monkeypatch):
+        # np.vdot sums n * block products of residues; primes bounded by n
+        # alone let those sums leave int64, and the traces come out wrong
+        g = build_graph(37, 3)
+        moduli = nbwalk._moduli
+        monkeypatch.setattr(nbwalk, "_moduli",
+                            lambda terms, need: moduli(terms // nbwalk._BLOCK, need))
+        assert closed_nbw_counts(build_nb_operator(g), 40) != exact_traces(g.adjacency, 40)
 
 
 class TestDirectedCounts:
