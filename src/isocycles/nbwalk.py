@@ -127,28 +127,38 @@ def _pairings(nbr, ell: int, r_max: int, modulus: int) -> list[int]:
     import numpy as np
 
     n = len(nbr)
+    columns = np.ascontiguousarray(nbr.T)
 
-    def times_a(s):
-        out = s[nbr[:, 0]]
-        for k in range(1, ell + 1):
-            out += s[nbr[:, k]]
-        return out
+    def times_a(s, out, tmp):
+        # mode "clip" writes into out directly where "raise" would buffer it;
+        # every index is in range
+        np.take(s, columns[0], axis=0, out=out, mode="clip")
+        for column in columns[1:]:
+            np.take(s, column, axis=0, out=tmp, mode="clip")
+            out += tmp
 
     pairing = [0] * (r_max + 1)
     for lo in range(0, n, _BLOCK):
         width = min(_BLOCK, n - lo)
-        cur = np.zeros((n, width), dtype=np.int64)
-        cur[lo + np.arange(width), np.arange(width)] = 1
-        prev, cur = 2 * cur, times_a(cur)
+        # four buffers per block: past glibc's mmap threshold a fresh array
+        # every step costs a new mapping and its page faults
+        prev, cur, nxt, tmp = (np.zeros((n, width), dtype=np.int64) for _ in range(4))
+        nxt[lo + np.arange(width), np.arange(width)] = 1
+        times_a(nxt, cur, tmp)
+        prev[lo + np.arange(width), np.arange(width)] = 2
         for r in range(1, r_max + 1):
             if r % 2 == 0:  # (prev, cur) = (S_k-1, S_k) with r = 2k
                 pairing[r] += int(np.vdot(cur, cur))
                 continue
             if r > 1:  # step to (S_k, S_k+1) with r = 2k + 1
                 prev *= ell
-                prev, cur = cur, times_a(cur) - prev
-                if modulus != _WRAP:
-                    cur -= cur // modulus * modulus  # cur %= modulus, but faster in numpy
+                times_a(cur, nxt, tmp)
+                nxt -= prev
+                if modulus != _WRAP:  # nxt %= modulus, but faster in numpy
+                    np.floor_divide(nxt, modulus, out=tmp)
+                    tmp *= modulus
+                    nxt -= tmp
+                prev, cur, nxt = cur, nxt, prev
             pairing[r] += int(np.vdot(prev, cur))
     return pairing
 
