@@ -143,9 +143,10 @@ def _pairings(nbr, ell: int, r_max: int, modulus: int) -> list[int]:
         # four buffers per block: past glibc's mmap threshold a fresh array
         # every step costs a new mapping and its page faults
         prev, cur, nxt, tmp = (np.zeros((n, width), dtype=np.int64) for _ in range(4))
-        nxt[lo + np.arange(width), np.arange(width)] = 1
-        times_a(nxt, cur, tmp)
-        prev[lo + np.arange(width), np.arange(width)] = 2
+        diagonal = (lo + np.arange(width), np.arange(width))
+        nxt[diagonal] = 1
+        times_a(nxt, cur, tmp)  # S_1 = A
+        prev[diagonal] = 2  # S_0 = 2I
         for r in range(1, r_max + 1):
             if r % 2 == 0:  # (prev, cur) = (S_k-1, S_k) with r = 2k
                 pairing[r] += int(np.vdot(cur, cur))
