@@ -64,6 +64,15 @@ def corpus() -> list[list[str]]:
     cmds += [["locate", "--disc", str(d), "--p", "179", "--ell", "2"] for d in discs]
     cmds += [["locate", "--disc", d, "--p", "613", "--ell", "2"] for d in ("-975", "-855")]
     cmds.append(["locate", "--disc", "-107", "--p", "179", "--ell", "3"])
+    # perfbench's rims-locate orders at (1009, 3, r = 3), where the 84-vertex
+    # graph holds far more vertices than any of their roots; small-h orders
+    # at 3361 and at 1013 = 5 mod 12, whose graph is seeded at j = 0
+    cmds += [["locate", "--disc", str(rec.discriminant.value), "--p", "1009", "--ell", "3"]
+             for rec in enumerate_orders(3, 1009, 3) if rec.l_order == 3]
+    cmds += [["locate", "--disc", d, "--p", "3361", "--ell", "2"]
+             for d in ("-31", "-55", "-39", "-127", "-103")]
+    cmds += [["locate", "--disc", d, "--p", "1013", "--ell", "2"]
+             for d in ("-31", "-63", "-39", "-103", "-47")]
     # refusals, one or more per stage prefix
     cmds += [
         ["graph", "--p", "101", "--ell", "5"],                                # build_graph(
@@ -78,6 +87,7 @@ def corpus() -> list[list[str]]:
         ["locate", "--disc", "-100787", "--p", "150001", "--ell", "3"],
         ["locate", "--disc", "-99999999", "--p", "179", "--ell", "2"],
         ["locate", "--disc", "-100000004", "--p", "179", "--ell", "2"],
+        ["locate", "--disc", "-31", "--p", "200003", "--ell", "2"],          # graph cap
         ["count", "--p", "13", "--ell", "2", "--r-max", "25", "--method", "orders"],  # q_set(
         ["count", "--p", "13", "--ell", "3", "--r-max", "16", "--method", "both"],
         ["bound", "--ell", "1000000007", "--N", "40"],                       # bound_b(

@@ -199,6 +199,24 @@ class TestAgainstGeneralRootFinder:
             expected.append(row)
         assert g.adjacency == expected
 
+    @pytest.mark.parametrize("p,pairs", [(97, 30), (101, 28), (103, 31), (107, 33)])
+    def test_any_neighbour_as_known_root_at_ell_3(self, p, pairs):
+        # the path an ell = 3 vertex takes once it divides out its BFS parent:
+        # any neighbour as the known root gives the general path's roots.
+        # 97, 101, 103, 107 cover 1, 5, 7, 11 mod 12, so j = 0 and 1728 with
+        # their repeated roots are included
+        g = build_graph(p, 3)
+        rows = reduce_mod_p(resolve_modular_polynomial(3, None), p)
+        seen = 0
+        for i, v in enumerate(g.vertices):
+            f = PolyOverFp2(g.field, instantiate(rows, v.key(), p, g.field.non_residue))
+            expected = poly_roots(f)
+            for k in g.adjacency[i]:
+                u = g.vertices[k].key()
+                assert poly_roots(f, known_root=u) == expected, (str(v), u)
+                seen += 1
+        assert seen == pairs
+
 
 class TestPairsThroughTheBuild:
     @pytest.mark.parametrize("p,ell", [(20029, 2), (3229, 3), (179, 2)])
