@@ -41,10 +41,20 @@ and to one vector in the spectral estimate.
 Exactness comes from residues.  The recursion runs once in int64, whose
 wrap-around makes it exact mod 2^64, and then once mod each prime m that
 is needed, reducing S_k after every step; n * block * (m - 1)^2 < 2^63
-keeps every block sum in int64.  The moduli must multiply past twice the
-bound n b_j b_k on each |<S_j, S_k>|, where b_k bounds the column sums of
-S_k, and the CRT gives the sums as symmetric residues.  While n b_k^2
-stays below 2^63 the int64 run is the only one.  Mobius inversion of the
+keeps every block sum in int64.  The moduli must multiply past twice a
+bound on each |<S_j, S_k>|, and the CRT gives the sums as symmetric
+residues.  The bound is n (ell^j + 1)(ell^k + 1).  A is symmetric with
+non-negative entries and row sums ell + 1, so its spectrum lies in
+[-(ell + 1), ell + 1].  Write lam = a + b with ab = ell, so that
+S_k(lam) = a^k + b^k.  For |lam| <= 2 sqrt(ell), a and b are conjugates of
+modulus sqrt(ell), and |S_k(lam)| <= 2 ell^(k/2) <= ell^k + 1.  Otherwise
+a and b are real of one sign with |a| + |b| = |lam| <= ell + 1, so
+{|a|, |b|} lies between {sqrt(ell), sqrt(ell)} and {1, ell}, where
+x^k + (ell / x)^k, increasing for x >= sqrt(ell), is at most ell^k + 1.
+Hence S_k, a polynomial in A, has spectral norm at most ell^k + 1, and
+each diagonal entry of S_j S_k is at most (ell^j + 1)(ell^k + 1) in
+absolute value.  A block's partial sum adds at most n of these entries,
+and <S_j, S_k> = tr S_j S_k adds all n, so both stay within the bound.  Mobius inversion of the
 traces gives the primitive directed cycle counts.  Floating point appears
 only in the spectral estimate.
 """
@@ -98,14 +108,6 @@ def _neighbour_array(adjacency, ell: int):
 
     return np.array([[v for v in sorted(row) for _ in range(row[v])] for row in adjacency],
                     dtype=np.intp).reshape(len(adjacency), ell + 1)
-
-
-def _column_sum_bounds(ell: int, k_max: int) -> list[int]:
-    """b_k >= the largest absolute column sum of S_k, for k = 0..k_max."""
-    b = [2, ell + 1]
-    while len(b) <= k_max:
-        b.append((ell + 1) * b[-1] + ell * b[-2])
-    return b
 
 
 def _moduli(terms: int, need: int) -> list[int]:
@@ -177,11 +179,12 @@ def closed_nbw_counts(op: NonBacktrackingOperator, r_max: int) -> list[int]:
     loops = int(loops_at.sum())
     half_loops = int((loops_at % 2).sum())
 
-    # |pairing[r]| <= n b_floor(r/2) b_ceil(r/2), and np.vdot sums n * _BLOCK
-    # products; the CRT joins one pass per modulus into symmetric residues
-    b = _column_sum_bounds(ell, (r_max + 1) // 2)
+    # |pairing[r]| <= n (ell^j + 1)(ell^k + 1) with j + k = r (module
+    # docstring), and np.vdot sums n * _BLOCK products; the CRT joins one pass
+    # per modulus into symmetric residues
+    bound = n * (ell ** (r_max // 2) + 1) * (ell ** ((r_max + 1) // 2) + 1)
     pairing, product = [0] * (r_max + 1), 1
-    for m in _moduli(n * _BLOCK, 2 * n * b[r_max // 2] * b[(r_max + 1) // 2]):
+    for m in _moduli(n * _BLOCK, 2 * bound):
         inverse = pow(product, -1, m)
         pairing = [x + product * ((y - x) * inverse % m)
                    for x, y in zip(pairing, _pairings(nbr, ell, r_max, m))]

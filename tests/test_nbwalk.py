@@ -115,10 +115,9 @@ class TestTraces:
 
     @pytest.mark.parametrize("ell", [2, 3])
     def test_exact_across_int64_bound(self, ell, monkeypatch):
-        # r = 40 takes the recursion past its int64 bound for both ell; at
-        # ell = 3 the traces themselves exceed 2^63.  p = 37 has a half-loop
-        # for ell = 2.  The bound asks for one prime pass after the 2^64 pass
-        # at ell = 2 and two at ell = 3.
+        # at r = 40 and ell = 3 the traces themselves exceed 2^63.  p = 37
+        # has a half-loop for ell = 2.  The spectral bound leaves the 2^64
+        # pass alone at ell = 2 and asks for one prime pass after it at ell = 3.
         g = build_graph(37, ell)
         exact = exact_traces(g.adjacency, 40)
         moduli, pairings = [], nbwalk._pairings
@@ -130,7 +129,7 @@ class TestTraces:
         monkeypatch.setattr(nbwalk, "_pairings", counted)
         assert closed_nbw_counts(build_nb_operator(g), 40) == exact
         assert (max(exact) > 2**63) == (ell == 3)
-        assert moduli[0] == 2**64 and len(moduli) == ell
+        assert moduli[0] == 2**64 and len(moduli) == ell - 1
 
     def test_prime_bound_counts_the_block_width(self, monkeypatch):
         # np.vdot sums n * block products of residues; primes bounded by n
