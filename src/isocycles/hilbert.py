@@ -34,11 +34,13 @@ residual, and |Im x| at the real values x, must stay below 0.25 or the
 computation retries at doubled precision.
 
 Rims need no ell-graph.  `locate_rim_vertices` checks its inputs, then
-builds the ell = 2 graph for the supersingular vertex set.  When p neither
-divides the conductor of D nor splits in its field, Deuring's reduction
-theorem puts every root of H_D mod p among those vertices; dividing H_D mod
-p by (X - v) over them finds the roots with multiplicity, and a remainder
-other than 1 refutes the premise.  Two roots u, v are joined by as many
+searches the ell = 2 graph breadth first from its seed (`ssgraph.bfs`).
+When p neither divides the conductor of D nor splits in its field,
+Deuring's reduction theorem puts every root of H_D mod p among the
+supersingular j; dividing H_D mod p by (X - v) for each vertex v as the
+search reaches it finds the roots with multiplicity, and the search stops
+once H_D mod p is used up.  A search that runs out first refutes the
+premise.  Two roots u, v are joined by as many
 edges as v's multiplicity as a root of Phi_ell(X, u), and a bounded
 depth-first search threads the roots into rim cycles that do not backtrack
 (away from j = 0 and 1728, where the turn is not checked).
@@ -55,7 +57,8 @@ from . import quadform
 # every module that imports it, and
 # perfbench/tests/test_perfbench.py::test_tracer_wraps_imported_names_and_restores
 # asserts hilbert.poly_roots is ff.poly_roots.
-from .ff import MAX_ROOT_DEGREE, PolyOverFp2, PrimeField, _deflate, kronecker_symbol, poly_roots
+from .ff import (MAX_ROOT_DEGREE, PolyOverFp2, PrimeField, QuadExtElement, _deflate,
+                 kronecker_symbol, poly_roots)
 from .modpoly import instantiate, reduce_mod_p, resolve_modular_polynomial
 
 MAX_ABS_DISC = 10**5
@@ -383,16 +386,19 @@ def locate_rim_vertices(D, p: int, ell: int, *, modpoly_dir: str | None) -> list
     whose Phi_ell is neither embedded nor readable from `modpoly_dir`, an
     ell that does not split in D (no class above ell), and a p that divides
     the conductor or splits in the field (Deuring's conditions for
-    supersingular roots).  The ell = 2 graph, the cheapest build that
-    certifies the supersingular vertex set, then supplies the vertices v;
-    H_D mod p is divided by (X - v) for each in turn and must deflate to 1.
-    The roots (with multiplicity) are decomposed into h/r cyclic vertex
-    sequences of length r, the order of the class above ell, with
+    supersingular roots).  The ell = 2 graph's own refusals come next.  Its
+    breadth-first search, the cheapest that certifies supersingular
+    vertices, then supplies the vertices v: H_D mod p is divided by (X - v)
+    for each as it is reached, and the search stops once H_D mod p is 1.
+    If the search runs out first, the whole ell = 2 graph is built, whose
+    census and checks name a fault of the graph, and then the order is
+    refused.  The roots (with multiplicity) are decomposed into h/r cyclic
+    vertex sequences of length r, the order of the class above ell, with
     consecutive vertices u, v adjacent, Phi_ell(u, v) = 0, and for r >= 3
     no turn u -> v -> u over a single edge unless v is j = 0 or 1728.
     Output cycles are canonicalized up to rotation and reversal,
     preferring lexicographically least starting vertices.  Errors name the
-    inputs, those of the graph build name build_graph.
+    inputs, those of the graph search name build_graph.
     """
     from . import ssgraph  # ssgraph imports this module for its CM seed
 
@@ -419,9 +425,35 @@ def locate_rim_vertices(D, p: int, ell: int, *, modpoly_dir: str | None) -> list
                 f"p={p} splits in the field of discriminant {disc.value}; the "
                 "reductions of its class polynomial roots are not supersingular"
             )
-    graph = ssgraph.build_graph(p, 2)
+    search = ssgraph.bfs(p, 2, None)
     with _named_errors(D, p, ell):
-        return _thread_rims(disc, p, phi, graph)
+        field = PrimeField(p)
+        c = list(hilbert_mod_p(disc, field).coeff_pairs())
+    # Deuring: every root of H_D mod p is a supersingular j-invariant, so
+    # dividing out (X - v) for each vertex v as the search finds it leaves
+    # the constant 1, and the search stops there.
+    count, seen = {}, set()
+    for v, roots in search:
+        for w in (v, *roots):
+            if w not in seen:
+                seen.add(w)
+                m, c = _deflate(c, w, p, field.non_residue)
+                if m:
+                    count[w] = m
+        if c == [(1, 0)]:
+            break
+    else:
+        # the search ran out: the whole graph's census and checks name a
+        # fault of the graph before the order is refused
+        ssgraph.build_graph(p, 2)
+    with _named_errors(D, p, ell):
+        if c != [(1, 0)]:
+            raise ValueError(
+                f"H_{disc.value} mod {p} keeps a factor of degree {len(c) - 1} with no "
+                f"supersingular root; the order of discriminant {disc.value} fails the "
+                "nonsplit condition"
+            )
+        return _thread_rims(disc, field, phi, count)
 
 
 @contextmanager
@@ -435,35 +467,18 @@ def _named_errors(D, p: int, ell: int):
         raise
 
 
-def _thread_rims(disc, p, phi, graph):
+def _thread_rims(disc, field, phi, count):
+    p, n = field.p, field.non_residue
     sigma = quadform.prime_form(disc, phi.level)
     r = quadform.form_order(disc, sigma)
-    n = graph.field.non_residue
-
-    # Deuring: every root of H_D mod p is a supersingular j-invariant, so
-    # dividing out the vertices one by one must leave the constant 1.
-    c = list(hilbert_mod_p(disc, graph.field).coeff_pairs())
-    count = {}
-    for i, v in enumerate(graph.vertices):
-        m, c = _deflate(c, v.key(), p, n)
-        if m:
-            count[i] = m
-    if c != [(1, 0)]:
-        raise ValueError(
-            f"H_{disc.value} mod {p} keeps a factor of degree {len(c) - 1} with no "
-            f"supersingular root; the order of discriminant {disc.value} fails the "
-            "nonsplit condition"
-        )
     total = sum(count.values())
     if total % r:
         raise ValueError(f"{total} roots cannot split into cycles of length {r}")
 
-    # The search runs on the distinct roots, numbered in vertex order, which
-    # is the order of their (a, b) keys since graph.vertices is sorted.
-    # rows[k] maps each root adjacent to root k to its edge multiplicity,
-    # its multiplicity as a root of Phi_ell(X, keys[k]).
-    ids = sorted(count)
-    keys = [graph.vertices[i].key() for i in ids]
+    # The search runs on the distinct roots, numbered in the order of their
+    # (a, b) keys.  rows[k] maps each root adjacent to root k to its edge
+    # multiplicity, its multiplicity as a root of Phi_ell(X, keys[k]).
+    keys = sorted(count)
     phi_rows = reduce_mod_p(phi, p)
     rows = []
     for u in keys:
@@ -474,13 +489,14 @@ def _thread_rims(disc, p, phi, graph):
                 row[k] = m
         rows.append(row)
     free = {k for k, v in enumerate(keys) if v in ((0, 0), (1728 % p, 0))}
-    cycles = _thread_cycles([count[i] for i in ids], rows, r, free)
+    cycles = _thread_cycles([count[v] for v in keys], rows, r, free)
     if cycles is None:
         raise ValueError(
             f"no consistent threading of the roots of H_{disc.value} into "
             f"{total // r} cycles of length {r}"
         )
-    return [tuple(graph.vertices[ids[k]] for k in cyc)
+    vertices = [QuadExtElement(field, a, b) for a, b in keys]
+    return [tuple(vertices[k] for k in cyc)
             for cyc in sorted(_canonical_cycle(c) for c in cycles)]
 
 

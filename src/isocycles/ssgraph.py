@@ -1,9 +1,11 @@
 """Supersingular ell-isogeny graph construction over F_{p^2}.
 
 One supersingular j-invariant is produced from congruence conditions on p
-(or a CM seed when p = 1 mod 12), the graph is closed under roots of the
-instantiated modular polynomial, and the vertex census is validated
-against the closed-form count.  At ell = 2 a vertex's roots other than its
+(or a CM seed when p = 1 mod 12), and `bfs` searches the graph breadth
+first from it, one vertex at a time, by the roots of the instantiated
+modular polynomial.  `build_graph` runs the search to its end and validates
+the vertex census against the closed-form count; `locate` stops it once
+the roots it needs are found.  At ell = 2 a vertex's roots other than its
 BFS parent come from one square root in F_{p^2} (Charles-Goren-Lauter),
 and the seed's come from Cardano's formula, since its cubic splits in
 F_{p^2}.  Every vertex for ell >= 3 takes the general path: a Frobenius
@@ -16,6 +18,7 @@ factors left.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 from . import hilbert
 from .ff import (PolyOverFp2, PrimeField, QuadExtElement, is_prime, kronecker_symbol,
@@ -118,6 +121,58 @@ class IsogenyGraph:
         yield "}\n"
 
 
+def bfs(p: int, ell: int, modpoly_dir: str | None):
+    """Breadth-first search of the supersingular ell-isogeny graph, one vertex at a time.
+
+    The refusals of `build_graph` run at the call, in its order; the search
+    runs as the result is iterated.  It yields each expanded vertex v, an
+    (a, b) pair, with the roots of Phi_ell(X, v) in F_{p^2} with
+    multiplicity, certified by rebuilding Phi_ell(X, v) from them, so that
+    every vertex it reaches is joined to the seed by certified roots.  It
+    stops after the first level that passes the census count.  Errors name
+    build_graph and (p, ell).
+    """
+    with _named(p, ell):
+        if not is_prime(ell):
+            raise ValueError(f"ell must be prime, got {ell}")
+        if p > MAX_GRAPH_PRIME:
+            raise ValueError(f"p={p} exceeds the desk-scale cap {MAX_GRAPH_PRIME}")
+        if ell >= p:
+            raise ValueError(f"need ell < p, got ell={ell}, p={p}")
+        modpoly = resolve_modular_polynomial(ell, modpoly_dir)
+        seed = initial_supersingular_j(p)
+        field = PrimeField(p)
+        rows = reduce_mod_p(modpoly, p)
+    return _search(p, ell, seed, field, rows)
+
+
+def _search(p, ell, seed, field, rows):
+    # Every neighbour of a supersingular j lies in F_{p^2}, and Phi_ell is
+    # symmetric, so the BFS parent of a vertex is a root of Phi_ell(X, v): at
+    # ell = 2 the other two roots solve a quadratic.
+    with _named(p, ell):
+        n = field.non_residue
+        expected = vertex_count_formula(p)
+        parent = {seed: None}
+        frontier = [seed]
+        while frontier and len(parent) <= expected:
+            nxt = []
+            for v in frontier:
+                f = PolyOverFp2(field, instantiate(rows, v, p, n))
+                roots = poly_roots(f, known_root=parent[v] if ell == 2 else None)
+                # the certificate also makes every row sum ell + 1, the degree of f
+                if PolyOverFp2.from_roots(field, roots) != f:
+                    raise ArithmeticError(
+                        f"roots {roots} of Phi_{ell}(X, {v[0]}+{v[1]}*s) do not rebuild it"
+                    )
+                yield v, roots
+                for w in roots:
+                    if w not in parent:
+                        parent[w] = v
+                        nxt.append(w)
+            frontier = nxt
+
+
 def build_graph(p: int, ell: int, modpoly_dir: str | None = None) -> IsogenyGraph:
     """BFS closure of the supersingular locus under ell-isogeny adjacency.
 
@@ -125,71 +180,37 @@ def build_graph(p: int, ell: int, modpoly_dir: str | None = None) -> IsogenyGrap
     mismatch signals an arithmetic bug or a non-supersingular seed.  Every
     error names the stage and (p, ell).
     """
+    neighbours = dict(bfs(p, ell, modpoly_dir))
+    with _named(p, ell):
+        found = set(neighbours).union(*neighbours.values())
+        expected = vertex_count_formula(p)
+        if len(found) != expected:
+            raise ArithmeticError(
+                f"vertex census mismatch: closure found {len(found)} vertices, "
+                f"formula gives {expected}"
+            )
+        keys = sorted(found)
+        index = {v: i for i, v in enumerate(keys)}
+        adjacency: list[dict[int, int]] = [dict() for _ in keys]
+        for v, roots in neighbours.items():
+            row = adjacency[index[v]]
+            for w in roots:
+                row[index[w]] = row.get(index[w], 0) + 1
+        field = PrimeField(p)
+        vertices = [QuadExtElement(field, a, b) for a, b in keys]
+        graph = IsogenyGraph(p, ell, field, vertices, adjacency)
+        _validate(graph)
+        return graph
+
+
+@contextmanager
+def _named(p: int, ell: int):
+    """Prefix errors raised inside with `build_graph(p=…, ell=…): `."""
     try:
-        return _build(p, ell, modpoly_dir)
+        yield
     except (ValueError, ArithmeticError) as exc:
         exc.args = (f"build_graph(p={p}, ell={ell}): {exc}",)
         raise
-
-
-def _build(p, ell, modpoly_dir):
-    if not is_prime(ell):
-        raise ValueError(f"ell must be prime, got {ell}")
-    if p > MAX_GRAPH_PRIME:
-        raise ValueError(f"p={p} exceeds the desk-scale cap {MAX_GRAPH_PRIME}")
-    if ell >= p:
-        raise ValueError(f"need ell < p, got ell={ell}, p={p}")
-    modpoly = resolve_modular_polynomial(ell, modpoly_dir)
-
-    seed = initial_supersingular_j(p)
-    field = PrimeField(p)
-    n = field.non_residue
-    rows = reduce_mod_p(modpoly, p)
-    expected = vertex_count_formula(p)
-
-    # BFS on (a, b) pairs.  Every neighbour of a supersingular j lies in
-    # F_{p^2}, and Phi_ell is symmetric, so the BFS parent of a vertex is a
-    # root of Phi_ell(X, v): at ell = 2 the other two roots solve a quadratic.
-    neighbours: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    parent = {seed: None}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            f = PolyOverFp2(field, instantiate(rows, v, p, n))
-            roots = poly_roots(f, known_root=parent[v] if ell == 2 else None)
-            # the certificate also makes every row sum ell + 1, the degree of f
-            if PolyOverFp2.from_roots(field, roots) != f:
-                raise ArithmeticError(
-                    f"roots {roots} of Phi_{ell}(X, {v[0]}+{v[1]}*s) do not rebuild it"
-                )
-            neighbours[v] = roots
-            for w in roots:
-                if w not in parent:
-                    parent[w] = v
-                    nxt.append(w)
-        frontier = nxt
-        if len(parent) > expected:
-            break
-
-    if len(parent) != expected:
-        raise ArithmeticError(
-            f"vertex census mismatch: closure found {len(parent)} vertices, "
-            f"formula gives {expected}"
-        )
-
-    keys = sorted(parent)
-    index = {v: i for i, v in enumerate(keys)}
-    adjacency: list[dict[int, int]] = [dict() for _ in keys]
-    for v, roots in neighbours.items():
-        row = adjacency[index[v]]
-        for w in roots:
-            row[index[w]] = row.get(index[w], 0) + 1
-
-    vertices = [QuadExtElement(field, a, b) for a, b in keys]
-    graph = IsogenyGraph(p, ell, field, vertices, adjacency)
-    _validate(graph)
-    return graph
 
 
 def _validate(graph: IsogenyGraph):

@@ -22,11 +22,15 @@ import isocycles
 SRC = Path(isocycles.__file__).parent
 
 # Names the benchmark in perfbench/ needs, with where it needs them.  Only
-# the first two are unreferenced in the program today; the scan skips dunders
-# and finds the other three used, and they are listed so that a change
-# removing that use keeps them.  They go with the benchmark repair (ROADMAP
-# item 0).
+# the first three are unreferenced in the program today; the scan skips
+# dunders and finds the other three used, and they are listed so that a
+# change removing that use keeps them.  They go with the benchmark repair
+# (ROADMAP item 0).
 PINNED = {
+    "ssgraph.IsogenyGraph.vertices": "perfbench/tests/test_perfbench.py::"
+                                     "test_fp_rational_count_on_small_primes reads .b off each "
+                                     "element of g.vertices; the program reads it only "
+                                     "inside IsogenyGraph",
     "nbwalk.NonBacktrackingOperator.dimension": "perfbench/spans.py: _counts_for reads "
                                                 ".dimension off each build_nb_operator result",
     "ordercount.EpsilonValue.kind": "perfbench/spans.py: _counts_for reads .kind off each "

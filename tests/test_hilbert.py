@@ -14,7 +14,7 @@ from isocycles.hilbert import (
 )
 from isocycles.ordercount import enumerate_orders
 from isocycles.quadform import class_number, reduced_forms
-from isocycles.ssgraph import build_graph
+from isocycles.ssgraph import build_graph, vertex_count_formula
 from oracles import rims_on_ell_graph
 
 SINGLETON_CLASS_POLYS = {
@@ -626,6 +626,54 @@ class TestLocate:
                                r"H_-47 mod 179 keeps a factor of degree \d+ .*"
                                r"fails the nonsplit condition$"):
                 locate_rim_vertices(-47, 179, 2, modpoly_dir=None)
+
+    @staticmethod
+    def _recorded_searches(monkeypatch):
+        # the vertices each ell = 2 search expands, one list per search
+        searches = []
+        bfs = ssgraph.bfs
+
+        def recording(p, ell, modpoly_dir):
+            search, expanded = bfs(p, ell, modpoly_dir), []
+            searches.append(expanded)
+            for v, roots in search:
+                expanded.append(v)
+                yield v, roots
+
+        monkeypatch.setattr(ssgraph, "bfs", recording)
+        return searches
+
+    def test_search_stops_once_the_class_polynomial_is_used_up(self, monkeypatch):
+        # h(-107) = 3 against the 84 supersingular j at 1009
+        searches = self._recorded_searches(monkeypatch)
+        (cycle,) = locate_rim_vertices(-107, 1009, 3, modpoly_dir=None)
+        assert [str(v) for v in cycle] == ["56+452*s", "56+557*s", "890"]
+        (expanded,) = searches
+        assert 0 < len(expanded) < vertex_count_formula(1009) == 84
+
+    def test_class_polynomial_not_used_up_walks_the_whole_graph(self, monkeypatch):
+        # a changed coefficient leaves H_-47 mod 179 a factor with no
+        # supersingular root: the search expands all 16 vertices, build_graph
+        # checks the whole graph in a second search, and the order is refused
+        searches = self._recorded_searches(monkeypatch)
+        coeffs = list(hilbert_class_poly(-47).coefficients)
+        coeffs[0] += 1
+        mutant = hilbert.ClassPolynomial(tuple(coeffs))
+        monkeypatch.setattr(hilbert, "hilbert_class_poly", lambda D: mutant)
+        with pytest.raises(ValueError, match=r"^locate_rim_vertices\(D=-47, p=179, ell=2\): "
+                           r"H_-47 mod 179 keeps a factor of degree \d+ .*"
+                           r"fails the nonsplit condition$"):
+            locate_rim_vertices(-47, 179, 2, modpoly_dir=None)
+        assert [len(set(s)) for s in searches] == [len(s) for s in searches] == [16, 16]
+
+    def test_graph_refusals_come_before_the_class_polynomial(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called before the refusal")
+
+        monkeypatch.setattr(hilbert, "hilbert_class_poly", forbidden)
+        with pytest.raises(ValueError, match=r"^build_graph\(p=200003, ell=2\): p=200003 "
+                           r"exceeds the desk-scale cap 200000$"):
+            locate_rim_vertices(-31, 200003, 2, modpoly_dir=None)
 
     def test_threading_stops_at_its_budget(self, monkeypatch):
         # -1967 needs 924 extension steps at (179, 2); -1319 needs the most
