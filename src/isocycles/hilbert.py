@@ -40,10 +40,10 @@ Deuring's reduction theorem puts every root of H_D mod p among the
 supersingular j; dividing H_D mod p by (X - v) for each vertex v as the
 search reaches it finds the roots with multiplicity, and the search stops
 once H_D mod p is used up.  A search that runs out first refutes the
-premise.  Two roots u, v are joined by as many
-edges as v's multiplicity as a root of Phi_ell(X, u), and a bounded
-depth-first search threads the roots into rim cycles that do not backtrack
-(away from j = 0 and 1728, where the turn is not checked).
+premise.  Two roots u, v are joined by as many edges as v's multiplicity
+as a root of Phi_ell(X, u), and a bounded depth-first search threads the
+roots into rim cycles that do not backtrack (away from j = 0 and 1728,
+where the turn is not checked).
 """
 
 from __future__ import annotations
